@@ -14,7 +14,6 @@ with gamma0 taken over the two smooth pieces. Activations with more than
 one singular point are rejected rather than extrapolated.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -22,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .errors import MultiSingular, NoAsymptote, NonIntegrable, ParseError
+from .errors import MultiSingular, NoAsymptote, NonIntegrable, ParseError, load_json
 from .expressions import ExprError, compile_expr
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -109,15 +108,17 @@ def relu() -> Activation:
 def leaky_relu(lam: float = 0.1) -> Activation:
     if lam == 1.0:
         raise ValueError("lam=1 is the identity, not a leaky rectifier")
+    # max(lam*x, x) takes the smaller slope on the left, whichever it is
+    left, right = min(lam, 1.0), max(lam, 1.0)
     return Activation(
         name="leaky_relu",
         f=lambda x: np.maximum(np.asarray(x, float) * lam, np.asarray(x, float)),
-        f1=lambda x: np.where(np.asarray(x, float) > 0, 1.0, lam),
+        f1=lambda x: np.where(np.asarray(x, float) > 0, right, left),
         f2=lambda x: np.zeros_like(np.asarray(x, float)),
-        asymptote_left=(lam, 0.0),
-        asymptote_right=(1.0, 0.0),
+        asymptote_left=(left, 0.0),
+        asymptote_right=(right, 0.0),
         singular_points=(0.0,),
-        one_sided_f1=((lam, 1.0),),
+        one_sided_f1=((left, right),),
         closed_form_gamma=abs(lam) + 1.0,
         params={"lam": lam},
     )
@@ -287,7 +288,7 @@ def make_activation(name: str, **params) -> Activation:
     params = {_PARAM_ALIASES.get(k, k): v for k, v in params.items()}
     try:
         return factory(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad parameters for {name}: {exc}") from None
 
 
@@ -311,13 +312,7 @@ def by_name(ref: str) -> Activation:
 
 def load_custom(path) -> Activation:
     """Build an activation from a JSON file of expressions and metadata."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read activation file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno)
+    raw = load_json(path, "activation")
     try:
         fns = {key: compile_expr(raw[key]) for key in ("f", "f1", "f2")}
         sing = tuple(float(v) for v in raw.get("singular_points", ()))
@@ -526,15 +521,18 @@ def asymptotes(act: Activation, tol: float = 1e-8):
     return a, b, c, d
 
 
-def lipschitz_bound(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> LipschitzBound:
-    """Certified Lipschitz bound gamma + min(|slope_left|, |slope_right|).
+def lipschitz_constant(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    """Certified Lipschitz constant gamma + min(|slope_left|, |slope_right|)."""
+    return gamma(act, cfg) + min(abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
 
-    Also reports the empirical sup of |f'| over a wide grid (plus the
-    one-sided kink slopes) which the bound must dominate.
+
+def lipschitz_bound(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> LipschitzBound:
+    """lipschitz_constant, with the empirical sup of |f'| over a wide grid
+    (plus the one-sided kink slopes) which the bound must dominate.
     """
     a = abs(act.asymptote_left[0])
     c = abs(act.asymptote_right[0])
-    bound = gamma(act, cfg) + min(a, c)
+    bound = lipschitz_constant(act, cfg)
     xs = np.concatenate([
         np.linspace(-40.0, 40.0, 100_001),
         np.geomspace(40.0, 1e6, 64),

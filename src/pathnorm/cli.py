@@ -10,8 +10,10 @@ failure.  Output for identical flags and seed is byte-identical.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,8 +22,7 @@ from . import activations as act_mod
 from . import bounds as bounds_mod
 from . import resnet as res_mod
 from .activations import DEFAULT_QUAD, QuadConfig, by_name
-from .errors import NumericalError, ParseError, PathNormError
-from .parallel import thread_map
+from .errors import NumericalError, ParseError, PathNormError, load_json
 from .relu1d import approximate_activation
 from .resnet import eval_resnet
 from .rng import make_rng
@@ -42,7 +43,27 @@ OK, VERIFY_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 
 def _intf(text: str) -> int:
     """Integer flag value; accepts scientific notation like 1e6."""
-    return int(float(text))
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return int(value)
+
+
+def _count(text: str) -> int:
+    """Integer flag value of at least 1."""
+    value = _intf(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _posf(text: str) -> float:
+    """Finite float flag value above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
 
 # reference instances reproducing the closed-form table
 _TABLE_REFS = (
@@ -90,9 +111,7 @@ def _quad(args) -> QuadConfig:
     tol = getattr(args, "abs_tol", None)
     if tol is None:
         return DEFAULT_QUAD
-    return QuadConfig(abs_tol=tol, rel_tol=DEFAULT_QUAD.rel_tol,
-                      max_subdivisions=DEFAULT_QUAD.max_subdivisions,
-                      tail_cutoff_tol=DEFAULT_QUAD.tail_cutoff_tol)
+    return dataclasses.replace(DEFAULT_QUAD, abs_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +135,7 @@ def cmd_gamma_table(args) -> int:
             "abs_error": abs(parts.total - closed) if closed is not None else None,
         }
 
-    rows = thread_map(one, refs)
+    rows = [one(ref) for ref in refs]
     _emit(rows, args.format, args.out)
     bad = [r for r in rows if r["abs_error"] is not None and r["abs_error"] > args.tol]
     return VERIFY_FAIL if bad else OK
@@ -337,13 +356,21 @@ def _load_csv_dataset(path: str) -> Dataset:
     if not rows:
         raise ParseError("empty data file")
     header, body = rows[0], rows[1:]
-    if header[-1] != "y":
+    if not header or header[-1] != "y":
         raise ParseError("last data column must be named y", 1)
+    if not body:
+        raise ParseError("data file has a header but no rows")
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"data line {line} has {len(row)} values, header has {len(header)}")
     try:
         arr = np.array([[float(v) for v in row] for row in body], float)
     except ValueError as exc:
         raise ParseError(f"non-numeric data value: {exc}")
-    return Dataset(arr[:, :-1], arr[:, -1])
+    try:
+        return Dataset(arr[:, :-1], arr[:, -1])
+    except ValueError as exc:
+        raise ParseError(f"data out of range: {exc}")
 
 
 def _synth_dataset(model_path: str, n: int, seed: int) -> Dataset:
@@ -391,18 +418,13 @@ def _load_rep(path: str, d: int) -> DiscreteBarronRep:
         w = np.zeros((1, d + 1))
         w[0, :2] = [1.0, 0.5] if d > 1 else [1.0, 1.0]
         return DiscreteBarronRep(np.ones(1), w, np.ones(1))
+    obj = load_json(path, "atoms")
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
         return DiscreteBarronRep(
             np.array(obj["probs"], float),
             np.array(obj["ws"], float),
             np.array(obj["coeffs"], float),
         )
-    except OSError as exc:
-        raise ParseError(f"cannot read atoms file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed atoms file: {exc}")
 
@@ -451,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("approx-1d", help="certified ReLU approximant of an activation")
     p.add_argument("--activation", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_posf, required=True)
     p.add_argument("--abs-tol", type=float, default=None)
     p.add_argument("--save-model", default=None)
     _common(p)
@@ -464,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("rewrite", help="rewrite a general-activation net as a ReLU net")
     p.add_argument("--model", required=True)
-    p.add_argument("--eps", type=float, default=1e-2)
+    p.add_argument("--eps", type=_posf, default=1e-2)
     p.add_argument("--abs-tol", type=float, default=None)
     p.add_argument("--save-model", default=None)
     _common(p)
@@ -485,14 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("rad-check", help="empirical Rademacher estimate vs bound")
     p.add_argument("--family", choices=("two-layer", "relu", "resnet", "linear"),
                    default="two-layer")
-    p.add_argument("--d", type=_intf, default=4)
-    p.add_argument("--n", type=_intf, default=256)
-    p.add_argument("--m", type=_intf, default=8)
+    p.add_argument("--d", type=_count, default=4)
+    p.add_argument("--n", type=_count, default=256)
+    p.add_argument("--m", type=_count, default=8)
     p.add_argument("--depth", type=_intf, default=2)
-    p.add_argument("--res-dim", type=_intf, default=8)
+    p.add_argument("--res-dim", type=_count, default=8)
     p.add_argument("--budget", type=float, default=2.0)
-    p.add_argument("--candidates", type=_intf, default=32)
-    p.add_argument("--sign-draws", type=_intf, default=256)
+    p.add_argument("--candidates", type=_count, default=32)
+    p.add_argument("--sign-draws", type=_count, default=256)
     p.add_argument("--activation", default="sigmoid")
     p.add_argument("--gamma", default=None,
                    help="resnet only: number or from:<activation>")
@@ -506,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lambda-resnet", "posterior", "apriori-two-layer", "apriori-resnet"))
     p.add_argument("--q", type=float, default=1.0,
                    help="norm budget (or trained norm / target norm)")
-    p.add_argument("--d", type=_intf, required=True)
-    p.add_argument("--n", type=_intf, required=True)
-    p.add_argument("--m", type=_intf, default=64)
+    p.add_argument("--d", type=_count, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--m", type=_count, default=64)
     p.add_argument("--depth", type=_intf, default=2)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--lam", type=float, default=None)
@@ -532,10 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sp.add_parser("apriori", help="trained risk vs a-priori bound over seeds")
-    p.add_argument("--d", type=_intf, default=2)
-    p.add_argument("--n", type=_intf, default=512)
-    p.add_argument("--m", type=_intf, default=64)
-    p.add_argument("--seeds", type=_intf, default=20)
+    p.add_argument("--d", type=_count, default=2)
+    p.add_argument("--n", type=_count, default=512)
+    p.add_argument("--m", type=_count, default=64)
+    p.add_argument("--seeds", type=_count, default=20)
     p.add_argument("--lam-mult", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--steps", type=_intf, default=300)

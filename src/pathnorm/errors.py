@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader."""
+
+import json
 
 
 class PathNormError(Exception):
@@ -73,3 +75,14 @@ class ParseError(PathNormError, ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def load_json(path, what: str):
+    """Parsed contents of the JSON file at path; `what` names the file kind."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno)

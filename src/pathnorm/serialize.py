@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .activations import Activation, make_activation, relu
-from .errors import ParseError
+from .errors import ParseError, load_json
 from .relu1d import ReluNet1D
 from .resnet import ResNet
 from .twolayer import TwoLayerNet
@@ -97,11 +97,4 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read model file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno)
-    return model_from_dict(obj)
+    return model_from_dict(load_json(path, "model"))

@@ -27,6 +27,7 @@ from .twolayer import (
     barron_norm_estimate,
     eval_two_layer,
     modified_path_norm,
+    unit_weights,
 )
 
 
@@ -81,8 +82,7 @@ def gradient(net: TwoLayerNet, data: Dataset, lam: float):
         raise EmptyDataset("gradient on an empty sample")
     da, db, dc = _risk_gradient(net, data.inputs, data.targets)
     if lam != 0.0:
-        weights = np.abs(net.b).sum(axis=1) + np.abs(net.c) + 1.0
-        da = da + lam * np.sign(net.a) * weights
+        da = da + lam * np.sign(net.a) * unit_weights(net.b, net.c)
         db = db + lam * (np.abs(net.a)[:, None] * np.sign(net.b))
         dc = dc + lam * np.abs(net.a) * np.sign(net.c)
     return da, db, dc
@@ -143,7 +143,7 @@ def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
             a_abs = np.abs(a)
             db = db + cfg.lam * (a_abs[:, None] * np.sign(b))
             dc = dc + cfg.lam * a_abs * np.sign(c)
-            thresholds = s * cfg.lam * (np.abs(b).sum(axis=1) + np.abs(c) + 1.0)
+            thresholds = s * cfg.lam * unit_weights(b, c)
             a = _soft_threshold(a - s * da, thresholds)
         else:
             a = a - s * da

@@ -48,17 +48,6 @@ class TwoLayerNet:
     def input_dim(self) -> int:
         return self.b.shape[1]
 
-    @property
-    def units(self):
-        return [(float(ak), bk.copy(), float(ck)) for ak, bk, ck in zip(self.a, self.b, self.c)]
-
-    @classmethod
-    def from_units(cls, units, activation: Activation) -> "TwoLayerNet":
-        a = np.array([u[0] for u in units], float)
-        b = np.array([u[1] for u in units], float)
-        c = np.array([u[2] for u in units], float)
-        return cls(a, b, c, activation)
-
 
 def eval_two_layer(net: TwoLayerNet, x):
     x = np.asarray(x, float)
@@ -75,17 +64,20 @@ def path_norm(net: TwoLayerNet) -> float:
     return float(np.sum(np.abs(net.a) * (np.abs(net.b).sum(axis=1) + np.abs(net.c))))
 
 
+def unit_weights(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-unit weight ||b_k||_1 + |c_k| + 1 of the modified path norm."""
+    return np.abs(b).sum(axis=1) + np.abs(c) + 1.0
+
+
 def modified_path_norm(net: TwoLayerNet) -> float:
-    return float(np.sum(np.abs(net.a) * (np.abs(net.b).sum(axis=1) + np.abs(net.c) + 1.0)))
+    return float(np.sum(np.abs(net.a) * unit_weights(net.b, net.c)))
 
 
 def c_sigma(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Squared Monte-Carlo constant (L_sigma + |sigma(0)|)^2.
-
-    L_sigma is the certified Lipschitz bound gamma + min |asymptote slope|.
+    """Squared Monte-Carlo constant (L_sigma + |sigma(0)|)^2, with L_sigma
+    the certified activations.lipschitz_constant.
     """
-    lip = act_mod.gamma(act, cfg) + min(abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
-    return (lip + abs(float(act.f(0.0)))) ** 2
+    return (act_mod.lipschitz_constant(act, cfg) + abs(float(act.f(0.0)))) ** 2
 
 
 @dataclass(frozen=True)
@@ -225,16 +217,15 @@ class Dataset:
 
     inputs: np.ndarray   # (n, d)
     targets: np.ndarray  # (n,)
-    noise: str = "none"
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.inputs, float))
         y = np.asarray(self.targets, float).ravel()
         if x.shape[0] != y.size:
             raise DimMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
-        if x.size and np.max(np.abs(x)) > 1.0 + 1e-12:
+        if not (np.abs(x) <= 1.0 + 1e-12).all():
             raise ValueError("inputs must lie in [-1, 1]")
-        if y.size and (y.min() < -1e-12 or y.max() > 1.0 + 1e-12):
+        if not ((y >= -1e-12) & (y <= 1.0 + 1e-12)).all():
             raise ValueError("targets must lie in [0, 1]")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)

@@ -70,9 +70,8 @@ def test_gamma_table_tolerance_gate(capsys):
     assert code == 1
 
 
-def test_gamma_table_deterministic(capsys, monkeypatch):
+def test_gamma_table_deterministic(capsys):
     _, first, _ = run(capsys, "gamma-table")
-    monkeypatch.setenv("PATHNORM_THREADS", "4")
     _, second, _ = run(capsys, "gamma-table")
     assert first == second
 
@@ -220,6 +219,47 @@ def test_parse_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "norm", "--model", str(tmp_path / "missing.json"))
     assert code == 2
     assert "error" in err
+
+
+TRAIN_CSV = ["train", "--data", "{data}", "--width", "2", "--steps", "1"]
+
+
+@pytest.mark.parametrize("argv,csv_text", [
+    (["approx-1d", "--activation", "sigmoid", "--eps", "0"], None),
+    (["approx-1d", "--activation", "sigmoid", "--eps", "nan"], None),
+    (["rewrite", "--model", "{model}", "--eps", "-1"], None),
+    (["rewrite", "--model", "{model}", "--eps", "inf"], None),
+    (["rad-check", "--n", "0"], None),
+    (["rad-check", "--d", "0"], None),
+    (["bounds", "--kind", "rad-relu", "--d", "2", "--n", "0"], None),
+    (["bounds", "--kind", "rad-relu", "--d", "0", "--n", "10"], None),
+    (["bounds", "--kind", "rad-relu", "--d", "2", "--n", "inf"], None),
+    (["bounds", "--kind", "apriori-two-layer", "--d", "2", "--n", "10", "--m", "0"], None),
+    (["rad-check", "--m", "0"], None),
+    (["rad-check", "--candidates", "0"], None),
+    (["rad-check", "--sign-draws", "0"], None),
+    (["rad-check", "--family", "resnet", "--res-dim", "0"], None),
+    (["apriori", "--n", "0"], None),
+    (["apriori", "--d", "0"], None),
+    (["apriori", "--m", "0"], None),
+    (["apriori", "--seeds", "0"], None),
+    (["approx-1d", "--activation", "leaky_relu:lam=1", "--eps", "0.1"], None),
+    (["approx-1d", "--activation", "swish:beta=0", "--eps", "0.1"], None),
+    (TRAIN_CSV, "x0,y\n"),
+    (TRAIN_CSV, "x0,y\n0.5,0.5,1\n"),
+    (TRAIN_CSV, "x0,y\n1.5,0.5\n"),
+    (TRAIN_CSV, "x0,y\n0.5,1.5\n"),
+    (TRAIN_CSV, "x0,y\nnan,0.5\n"),
+    (TRAIN_CSV, "\n0.5,0.5\n"),
+])
+def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, csv_text):
+    data = tmp_path / "data.csv"
+    data.write_text(csv_text or "")
+    argv = [arg.format(model=two_layer_file[0], data=data) for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
 
 
 def test_numeric_error_exit(capsys, tmp_path):
