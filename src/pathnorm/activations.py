@@ -30,19 +30,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _MAX_WINDOW = 2.0**42
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for the adaptive quadrature behind gamma0."""
-
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 10_000
-    tail_cutoff_tol: float = 1e-6
-
-
-DEFAULT_QUAD = QuadConfig()
-
-
 @dataclass(frozen=True, eq=False)
 class Activation:
     """A scalar activation with explicit derivative and asymptote data.
@@ -346,6 +333,13 @@ def load_custom(path) -> Activation:
 # (c, d) gives exactly |(c - d) - (f'(X)(X+1) - f(X))| whenever f'' keeps
 # one sign out there. The same estimate drives the window search, so a
 # polynomially growing f walks the window to the cap and is rejected.
+#
+# The quadrature policy is fixed: a window whose tail is below 1e-6, and
+# scipy's quad at abs and rel tolerance 1e-8 with up to 10 000 subdivisions
+# per panel. Every certificate (approximant, rewrite, c = 4 gamma + 1,
+# c_sigma, lambda_n, a-priori bound) starts from gamma, so there is one way
+# to compute it, and this policy stays well inside the 1e-3 agreement with
+# the closed forms that gamma-table checks.
 
 
 def tail_weight_right(act: Activation, x: float) -> float:
@@ -368,14 +362,14 @@ def _sign_stable(act: Activation, x: float) -> bool:
     return True
 
 
-def integration_window(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def integration_window(act: Activation) -> float:
     """Smallest doubling window [-X, X] whose weighted tail is negligible."""
     reach = max((abs(p) for p in act.singular_points), default=0.0)
     x = 8.0
     while x <= _MAX_WINDOW:
         if x > reach:
             tail = tail_weight_right(act, x) + tail_weight_left(act, x)
-            if np.isfinite(tail) and tail < cfg.tail_cutoff_tol and _sign_stable(act, x):
+            if np.isfinite(tail) and tail < 1e-6 and _sign_stable(act, x):
                 return x
         x *= 2.0
     raise NonIntegrable(f"weighted curvature tail of {act.label} does not decay")
@@ -398,15 +392,15 @@ def _curvature_zeros(act: Activation, lo: float, hi: float):
     return out
 
 
-@lru_cache(maxsize=None)
-def gamma0(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def gamma0(act: Activation) -> float:
     """Quadrature value of int |f''(x)| (|x|+1) dx.
 
     The window is split at singular points, at x=0 and at curvature sign
     changes so every panel hands scipy a smooth integrand; the two
-    unbounded tails are added via the by-parts identity.
+    unbounded tails are added via the by-parts identity. Uncached:
+    gamma_parts holds the one memo per activation.
     """
-    window = integration_window(act, cfg)
+    window = integration_window(act)
     breaks = {-window, window, 0.0}
     breaks.update(p for p in act.singular_points if -window < p < window)
     pieces = sorted(breaks)
@@ -419,10 +413,7 @@ def gamma0(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
 
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        val, _ = integrate.quad(
-            integrand, lo, hi,
-            epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-        )
+        val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=10_000)
         total += val
     total += tail_weight_right(act, window) + tail_weight_left(act, window)
     return total
@@ -468,7 +459,7 @@ def inf_g(act: Activation):
 
 
 @lru_cache(maxsize=None)
-def gamma_parts(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> GammaParts:
+def gamma_parts(act: Activation) -> GammaParts:
     """gamma0, the linear-anchor term and their sum.
 
     Smooth case: linear term is inf_x g(x). One singular point x0:
@@ -478,7 +469,7 @@ def gamma_parts(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> GammaParts:
         raise MultiSingular(
             f"{act.label} has {len(act.singular_points)} singular points; only one is supported"
         )
-    g0 = gamma0(act, cfg)
+    g0 = gamma0(act)
     if act.singular_points:
         x0 = act.singular_points[0]
         d_left, d_right = act.one_sided_f1[0]
@@ -488,8 +479,8 @@ def gamma_parts(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> GammaParts:
     return GammaParts(g0, float(linear), g0 + float(linear))
 
 
-def gamma(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    return gamma_parts(act, cfg).total
+def gamma(act: Activation) -> float:
+    return gamma_parts(act).total
 
 
 def asymptotes(act: Activation, tol: float = 1e-8):
@@ -521,18 +512,18 @@ def asymptotes(act: Activation, tol: float = 1e-8):
     return a, b, c, d
 
 
-def lipschitz_constant(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def lipschitz_constant(act: Activation) -> float:
     """Certified Lipschitz constant gamma + min(|slope_left|, |slope_right|)."""
-    return gamma(act, cfg) + min(abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
+    return gamma(act) + min(abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
 
 
-def lipschitz_bound(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> LipschitzBound:
+def lipschitz_bound(act: Activation) -> LipschitzBound:
     """lipschitz_constant, with the empirical sup of |f'| over a wide grid
     (plus the one-sided kink slopes) which the bound must dominate.
     """
     a = abs(act.asymptote_left[0])
     c = abs(act.asymptote_right[0])
-    bound = lipschitz_constant(act, cfg)
+    bound = lipschitz_constant(act)
     xs = np.concatenate([
         np.linspace(-40.0, 40.0, 100_001),
         np.geomspace(40.0, 1e6, 64),

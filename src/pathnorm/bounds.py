@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act_mod
-from .activations import Activation, QuadConfig, DEFAULT_QUAD
+from .activations import Activation
 from .errors import LambdaTooSmall, NormBudgetViolated
 from .resnet import ResNet, eval_resnet, norm_closed
 from .rng import make_rng
@@ -69,18 +69,17 @@ def apriori_bound_two_layer(
     delta: float,
     lam: float,
     act: Activation,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
     """Population risk bound for the path-norm regularized estimator.
 
     Requires lam >= lambda_n; norm_f is the representation norm of the
     target.
     """
-    gamma_sigma = act_mod.gamma(act, cfg)
+    gamma_sigma = act_mod.gamma(act)
     lam_n = lambda_n_two_layer(d, n, gamma_sigma)
     if lam < lam_n * (1.0 - 1e-12):
         raise LambdaTooSmall(f"lam={lam:g} below lambda_n={lam_n:g}")
-    cs = c_sigma(act, cfg)
+    cs = c_sigma(act)
     return (
         3.0 * cs * norm_f**2 / (2.0 * m)
         + 2.0 * norm_f * lam
@@ -98,13 +97,12 @@ def apriori_bound_resnet(
     delta: float,
     lam: float,
     act: Activation,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
-    gamma_sigma = act_mod.gamma(act, cfg)
+    gamma_sigma = act_mod.gamma(act)
     lam_n = lambda_n_resnet(d, n, gamma_sigma)
     if lam < lam_n * (1.0 - 1e-12):
         raise LambdaTooSmall(f"lam={lam:g} below lambda_n={lam_n:g}")
-    cs = c_sigma(act, cfg)
+    cs = c_sigma(act)
     c2 = 4.0 * gamma_sigma + 1.0
     return (
         3.0 * cs * norm_f**2 / (2.0 * depth * m)

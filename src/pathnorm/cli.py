@@ -10,7 +10,6 @@ failure.  Output for identical flags and seed is byte-identical.
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -21,7 +20,7 @@ import numpy as np
 from . import activations as act_mod
 from . import bounds as bounds_mod
 from . import resnet as res_mod
-from .activations import DEFAULT_QUAD, QuadConfig, by_name
+from .activations import by_name
 from .errors import NumericalError, ParseError, PathNormError, load_json
 from .relu1d import approximate_activation
 from .resnet import eval_resnet
@@ -62,6 +61,22 @@ def _posf(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _nonneg(text: str) -> float:
+    """Finite float flag value of at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _frac(text: str) -> float:
+    """Float flag value in (0, 1]: a failure probability or a required fraction."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
     return value
 
 
@@ -107,24 +122,16 @@ def _emit(rows, fmt: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _quad(args) -> QuadConfig:
-    tol = getattr(args, "abs_tol", None)
-    if tol is None:
-        return DEFAULT_QUAD
-    return dataclasses.replace(DEFAULT_QUAD, abs_tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_gamma_table(args) -> int:
     refs = args.only if args.only else list(_TABLE_REFS)
-    cfg = _quad(args)
 
     def one(ref):
         act = by_name(ref)
-        parts = act_mod.gamma_parts(act, cfg)
+        parts = act_mod.gamma_parts(act)
         closed = act.closed_form_gamma
         return {
             "activation": act.label,
@@ -143,7 +150,7 @@ def cmd_gamma_table(args) -> int:
 
 def cmd_approx_1d(args) -> int:
     act = by_name(args.activation)
-    net, cert = approximate_activation(act, args.eps, _quad(args))
+    net, cert = approximate_activation(act, args.eps)
     if args.save_model:
         save_model(net, args.save_model)
     row = {
@@ -207,7 +214,7 @@ def cmd_rewrite(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, TwoLayerNet):
         raise ParseError("rewrite expects a two_layer model")
-    relu_net, report = rewrite_to_relu(model, args.eps, _quad(args), seed=args.seed)
+    relu_net, report = rewrite_to_relu(model, args.eps, seed=args.seed)
     if args.save_model:
         save_model(relu_net, args.save_model)
     row = {
@@ -233,7 +240,7 @@ def cmd_embed(args) -> int:
         raise ParseError("embed expects a two_layer model")
     c = args.weight_c
     if c is None:
-        c = res_mod.default_weight_constant(model.activation, _quad(args))
+        c = res_mod.default_weight_constant(model.activation)
     net = res_mod.embed_two_layer(model, args.depth, args.width, c)
     if args.save_model:
         save_model(net, args.save_model)
@@ -255,19 +262,21 @@ def cmd_embed(args) -> int:
     return OK if dev <= 1e-10 and closed <= bound * (1 + 1e-12) else VERIFY_FAIL
 
 
-def _resolve_gamma(spec: str, cfg: QuadConfig) -> float:
+def _resolve_gamma(spec: str) -> float:
     if spec.startswith("from:"):
-        return act_mod.gamma(by_name(spec[5:]), cfg)
-    return float(spec)
+        return act_mod.gamma(by_name(spec[5:]))
+    try:
+        return _nonneg(spec)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParseError(f"--gamma {exc}") from None
 
 
 def cmd_rad_check(args) -> int:
-    cfg = _quad(args)
     rng = make_rng(args.seed)
     x = rng.uniform(-1.0, 1.0, size=(args.n, args.d))
     if args.family == "two-layer":
         act = by_name(args.activation)
-        gam = act_mod.gamma(act, cfg)
+        gam = act_mod.gamma(act)
         cands = bounds_mod.random_two_layer_candidates(
             args.candidates, args.d, args.m, act, args.budget, seed=args.seed
         )
@@ -283,7 +292,7 @@ def cmd_rad_check(args) -> int:
         norm_fn = path_norm
     elif args.family == "resnet":
         act = by_name(args.activation)
-        gam = _resolve_gamma(args.gamma, cfg) if args.gamma else act_mod.gamma(act, cfg)
+        gam = _resolve_gamma(args.gamma) if args.gamma else act_mod.gamma(act)
         weight_c = 4.0 * gam + 1.0
         cands = bounds_mod.random_resnet_candidates(
             args.candidates, args.d, args.depth, args.res_dim, args.m, act,
@@ -315,8 +324,7 @@ def cmd_rad_check(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _quad(args)
-    gam = act_mod.gamma(by_name(args.activation), cfg)
+    gam = act_mod.gamma(by_name(args.activation))
     kind = args.kind
     if kind == "rad-two-layer":
         value = bounds_mod.rad_bound_two_layer(args.q, args.d, args.n, gam)
@@ -333,13 +341,13 @@ def cmd_bounds(args) -> int:
     elif kind == "apriori-two-layer":
         lam = args.lam if args.lam is not None else bounds_mod.lambda_n_two_layer(args.d, args.n, gam)
         value = bounds_mod.apriori_bound_two_layer(
-            args.q, args.m, args.d, args.n, args.delta, lam, by_name(args.activation), cfg
+            args.q, args.m, args.d, args.n, args.delta, lam, by_name(args.activation)
         )
     else:  # apriori-resnet
         lam = args.lam if args.lam is not None else bounds_mod.lambda_n_resnet(args.d, args.n, gam)
         value = bounds_mod.apriori_bound_resnet(
             args.q, args.depth, args.m, args.d, args.n, args.delta, lam,
-            by_name(args.activation), cfg,
+            by_name(args.activation),
         )
     row = {"kind": kind, "d": args.d, "n": args.n, "activation": args.activation,
            "gamma": gam, "value": value}
@@ -437,7 +445,7 @@ def cmd_apriori(args) -> int:
     report = apriori_experiment(
         rep, act, args.d, args.n, args.m, seeds,
         lam_multiplier=args.lam_mult, delta=args.delta,
-        steps=args.steps, step_size=args.step_size, cfg=_quad(args),
+        steps=args.steps, step_size=args.step_size,
     )
     rows = [{
         "seed": r.seed,
@@ -466,15 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("gamma-table", help="quadrature vs closed-form activation norms")
     p.add_argument("--only", action="append", help="activation ref, repeatable")
-    p.add_argument("--abs-tol", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-3, help="max |quadrature - closed|")
+    p.add_argument("--tol", type=_posf, default=1e-3, help="max |quadrature - closed|")
     _common(p)
     p.set_defaults(fn=cmd_gamma_table)
 
     p = sp.add_parser("approx-1d", help="certified ReLU approximant of an activation")
     p.add_argument("--activation", required=True)
     p.add_argument("--eps", type=_posf, required=True)
-    p.add_argument("--abs-tol", type=float, default=None)
     p.add_argument("--save-model", default=None)
     _common(p)
     p.set_defaults(fn=cmd_approx_1d)
@@ -487,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("rewrite", help="rewrite a general-activation net as a ReLU net")
     p.add_argument("--model", required=True)
     p.add_argument("--eps", type=_posf, default=1e-2)
-    p.add_argument("--abs-tol", type=float, default=None)
     p.add_argument("--save-model", default=None)
     _common(p)
     p.set_defaults(fn=cmd_rewrite)
@@ -496,10 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--depth", type=_intf, required=True)
     p.add_argument("--width", type=_intf, required=True)
-    p.add_argument("--weight-c", type=float, default=None,
+    p.add_argument("--weight-c", type=_posf, default=None,
                    help="residual scale constant; default 4*gamma+1")
-    p.add_argument("--n-check", type=_intf, default=1000)
-    p.add_argument("--abs-tol", type=float, default=None)
+    p.add_argument("--n-check", type=_count, default=1000)
     p.add_argument("--save-model", default=None)
     _common(p)
     p.set_defaults(fn=cmd_embed)
@@ -512,13 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_count, default=8)
     p.add_argument("--depth", type=_intf, default=2)
     p.add_argument("--res-dim", type=_count, default=8)
-    p.add_argument("--budget", type=float, default=2.0)
+    p.add_argument("--budget", type=_posf, default=2.0)
     p.add_argument("--candidates", type=_count, default=32)
     p.add_argument("--sign-draws", type=_count, default=256)
     p.add_argument("--activation", default="sigmoid")
     p.add_argument("--gamma", default=None,
                    help="resnet only: number or from:<activation>")
-    p.add_argument("--abs-tol", type=float, default=None)
     _common(p)
     p.set_defaults(fn=cmd_rad_check)
 
@@ -526,16 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=(
         "rad-two-layer", "rad-relu", "rad-resnet", "lambda-two-layer",
         "lambda-resnet", "posterior", "apriori-two-layer", "apriori-resnet"))
-    p.add_argument("--q", type=float, default=1.0,
+    p.add_argument("--q", type=_nonneg, default=1.0,
                    help="norm budget (or trained norm / target norm)")
     p.add_argument("--d", type=_count, required=True)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--m", type=_count, default=64)
-    p.add_argument("--depth", type=_intf, default=2)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--depth", type=_count, default=2)
+    p.add_argument("--delta", type=_frac, default=0.05)
+    p.add_argument("--lam", type=_nonneg, default=None)
     p.add_argument("--activation", default="relu")
-    p.add_argument("--abs-tol", type=float, default=None)
     _common(p)
     p.set_defaults(fn=cmd_bounds)
 
@@ -543,12 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="CSV with columns x0..x{d-1},y")
     p.add_argument("--target", default=None, help="two_layer model JSON to synthesize from")
     p.add_argument("--n", type=_intf, default=256, help="synthesized sample count")
-    p.add_argument("--width", type=_intf, default=32)
+    p.add_argument("--width", type=_count, default=32)
     p.add_argument("--activation", default="relu")
-    p.add_argument("--steps", type=_intf, default=500)
-    p.add_argument("--step-size", type=float, default=0.05)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--batch", type=_intf, default=None)
+    p.add_argument("--steps", type=_count, default=500)
+    p.add_argument("--step-size", type=_posf, default=0.05)
+    p.add_argument("--lam", type=_nonneg, default=0.0)
+    p.add_argument("--batch", type=_count, default=None)
     p.add_argument("--save-model", default=None)
     _common(p)
     p.set_defaults(fn=cmd_train)
@@ -558,15 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=512)
     p.add_argument("--m", type=_count, default=64)
     p.add_argument("--seeds", type=_count, default=20)
-    p.add_argument("--lam-mult", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--steps", type=_intf, default=300)
-    p.add_argument("--step-size", type=float, default=0.05)
+    p.add_argument("--lam-mult", type=_posf, default=1.0)
+    p.add_argument("--delta", type=_frac, default=0.05)
+    p.add_argument("--steps", type=_count, default=300)
+    p.add_argument("--step-size", type=_posf, default=0.05)
     p.add_argument("--activation", default="sigmoid")
     p.add_argument("--atoms", default=None, help="JSON with probs/ws/coeffs")
-    p.add_argument("--require", type=float, default=0.95,
+    p.add_argument("--require", type=_frac, default=0.95,
                    help="minimum fraction of seeds below the bound")
-    p.add_argument("--abs-tol", type=float, default=None)
     _common(p)
     p.set_defaults(fn=cmd_apriori)
     return ap

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act_mod
-from .activations import Activation, QuadConfig, DEFAULT_QUAD
+from .activations import Activation
 from .errors import GammaInfinite, NoConvergence, NonIntegrable
 
 _PRUNE_TOL = 1e-15
@@ -111,12 +111,11 @@ def _pick_anchor(act: Activation, eps: float):
         x0 = act.singular_points[0]
         d_left, d_right = act.one_sided_f1[0]
         return x0, d_left, d_right
-    _, g_star = act_mod.inf_g(act)
+    x_star, g_star = act_mod.inf_g(act)
     budget = g_star + 0.25 * eps
     candidates = [0.0]
     for k in range(14):
         candidates.extend([-(2.0**k), 2.0**k])
-    x_star, _ = act_mod.inf_g(act)
     if np.isfinite(x_star):
         candidates.append(float(x_star))
     candidates.sort(key=abs)
@@ -211,12 +210,12 @@ def _validation_grid(x_eps, t_half):
     return np.concatenate([core, far, -far])
 
 
-def approximate_activation(act: Activation, eps: float, cfg: QuadConfig = DEFAULT_QUAD):
+def approximate_activation(act: Activation, eps: float):
     """Certified ReLU approximant; returns (ReluNet1D, ApproxCertificate)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     try:
-        gamma_ref = act_mod.gamma(act, cfg)
+        gamma_ref = act_mod.gamma(act)
     except NonIntegrable as exc:
         raise GammaInfinite(str(exc)) from exc
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import activations as act_mod
-from .activations import Activation, QuadConfig, DEFAULT_QUAD
+from .activations import Activation
 from .errors import DimMismatch, IndexOutOfRange, TooLarge, WidthMismatch
 from .twolayer import TwoLayerNet
 
@@ -78,9 +78,9 @@ class ResNet:
         return self.v.shape[1] - 1
 
 
-def default_weight_constant(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def default_weight_constant(act: Activation) -> float:
     """c = 4 gamma(sigma) + 1, the smallest weight the depth-free bounds allow."""
-    return 4.0 * act_mod.gamma(act, cfg) + 1.0
+    return 4.0 * act_mod.gamma(act) + 1.0
 
 
 def eval_resnet(net: ResNet, x):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import activations as act_mod
-from .activations import Activation, QuadConfig, DEFAULT_QUAD
+from .activations import Activation
 from .bounds import apriori_bound_two_layer, lambda_n_two_layer
 from .errors import Diverged, EmptyDataset
 from .rng import make_rng
@@ -192,7 +192,6 @@ def apriori_experiment(
     steps: int = 300,
     step_size: float = 0.05,
     n_eval: int = 100_000,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> AprioriReport:
     """Train against a representable target and compare the measured
     population risk with the a-priori bound, once per seed.
@@ -200,10 +199,10 @@ def apriori_experiment(
     The target is evaluated exactly from the representation, training
     inputs and the held-out risk grid are uniform on [-1, 1]^d.
     """
-    gamma_sigma = act_mod.gamma(act, cfg)
+    gamma_sigma = act_mod.gamma(act)
     lam = lam_multiplier * lambda_n_two_layer(d, n, gamma_sigma)
     norm_est = barron_norm_estimate(rep)
-    bound = apriori_bound_two_layer(norm_est, m, d, n, delta, lam, act, cfg)
+    bound = apriori_bound_two_layer(norm_est, m, d, n, delta, lam, act)
     rows = []
     for seed in seeds:
         rng = make_rng(seed)

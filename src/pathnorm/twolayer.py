@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import activations as act_mod
-from .activations import Activation, QuadConfig, DEFAULT_QUAD
+from .activations import Activation
 from .errors import DimMismatch
 from .relu1d import approximate_activation
 from .rng import make_rng
@@ -73,11 +73,11 @@ def modified_path_norm(net: TwoLayerNet) -> float:
     return float(np.sum(np.abs(net.a) * unit_weights(net.b, net.c)))
 
 
-def c_sigma(act: Activation, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def c_sigma(act: Activation) -> float:
     """Squared Monte-Carlo constant (L_sigma + |sigma(0)|)^2, with L_sigma
     the certified activations.lipschitz_constant.
     """
-    return (act_mod.lipschitz_constant(act, cfg) + abs(float(act.f(0.0)))) ** 2
+    return (act_mod.lipschitz_constant(act) + abs(float(act.f(0.0)))) ** 2
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,6 @@ class RewriteReport:
 def rewrite_to_relu(
     net: TwoLayerNet,
     eps: float,
-    cfg: QuadConfig = DEFAULT_QUAD,
     seed: int = 0,
     n_check: int = 10_000,
 ):
@@ -110,7 +109,7 @@ def rewrite_to_relu(
 
     the latter checked on n_check seeded uniform points in [-1, 1]^d.
     """
-    g_net, cert = approximate_activation(net.activation, eps, cfg)
+    g_net, cert = approximate_activation(net.activation, eps)
     alpha, beta, gam = g_net.units[:, 0], g_net.units[:, 1], g_net.units[:, 2]
 
     new_a = np.outer(net.a, alpha).ravel()

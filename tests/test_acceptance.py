@@ -404,8 +404,8 @@ def _fd_check(act, rng, lam=0.05):
 def test_criterion_09_gradient_finite_differences(verdict):
     worst = 0.0
     failures = 0
-    for act in catalog():
-        rng = make_rng(hash(act.label) % 2**32)
+    for k, act in enumerate(catalog()):
+        rng = make_rng(k)
         for _ in range(100):
             err = _fd_check(act, rng)
             worst = max(worst, err)

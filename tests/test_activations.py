@@ -10,9 +10,7 @@ from scipy.special import ndtr
 
 from pathnorm import activations as A
 from pathnorm.activations import (
-    DEFAULT_QUAD,
     Activation,
-    QuadConfig,
     by_name,
     catalog,
     elu,
@@ -25,6 +23,7 @@ from pathnorm.activations import (
     tanh,
 )
 from pathnorm.errors import MultiSingular, NoAsymptote, NonIntegrable, ParseError
+from pathnorm.relu1d import approximate_activation
 
 GELU_GAMMA = 4.0 * (ndtr(math.sqrt(2)) + (1 + math.sqrt(2)) / (math.e * math.sqrt(math.pi))) - 3.0
 
@@ -266,7 +265,17 @@ def test_custom_activation_bad_json_reports_position(tmp_path):
     assert err.value.line == 3
 
 
-def test_quad_config_pass_through():
-    loose = QuadConfig(abs_tol=1e-3, rel_tol=1e-3, max_subdivisions=50, tail_cutoff_tol=1e-4)
-    assert A.gamma(sigmoid(), loose) == pytest.approx(1.5, abs=1e-2)
-    assert DEFAULT_QUAD.abs_tol == 1e-8
+def test_one_quadrature_per_activation(monkeypatch):
+    calls = []
+    real = A.gamma0
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(A, "gamma0", counting)
+    act = swish.__wrapped__(1.25)  # a new object, so no cache holds it yet
+    A.gamma_parts(act)
+    approximate_activation(act, 1e-1)
+    A.gamma(act)
+    assert len(calls) == 1

@@ -251,6 +251,27 @@ TRAIN_CSV = ["train", "--data", "{data}", "--width", "2", "--steps", "1"]
     (TRAIN_CSV, "x0,y\n0.5,1.5\n"),
     (TRAIN_CSV, "x0,y\nnan,0.5\n"),
     (TRAIN_CSV, "\n0.5,0.5\n"),
+    (["bounds", "--kind", "posterior", "--d", "2", "--n", "10", "--delta", "0"], None),
+    (["bounds", "--kind", "posterior", "--d", "2", "--n", "10", "--delta", "2"], None),
+    (["bounds", "--kind", "posterior", "--d", "2", "--n", "10", "--q", "-1"], None),
+    (["bounds", "--kind", "apriori-two-layer", "--d", "2", "--n", "10", "--lam", "nan"], None),
+    (["bounds", "--kind", "apriori-resnet", "--d", "2", "--n", "10", "--depth", "0"], None),
+    (["embed", "--model", "{model}", "--depth", "2", "--width", "2", "--n-check", "0"], None),
+    (["embed", "--model", "{model}", "--depth", "2", "--width", "2", "--weight-c", "-1"], None),
+    (["train", "--target", "{model}", "--width", "-2", "--steps", "1"], None),
+    (["train", "--target", "{model}", "--width", "0", "--steps", "1"], None),
+    (["train", "--target", "{model}", "--batch", "0", "--steps", "1"], None),
+    (["train", "--target", "{model}", "--steps", "0"], None),
+    (["train", "--target", "{model}", "--step-size", "0", "--steps", "1"], None),
+    (["train", "--target", "{model}", "--lam", "-1", "--steps", "1"], None),
+    (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--step-size", "nan"], None),
+    (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--delta", "0"], None),
+    (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--lam-mult", "nan"], None),
+    (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--require", "2"], None),
+    (["gamma-table", "--tol", "-1"], None),
+    (["rad-check", "--budget", "nan"], None),
+    (["rad-check", "--family", "resnet", "--gamma", "-1"], None),
+    (["rad-check", "--family", "resnet", "--gamma", "abc"], None),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, csv_text):
     data = tmp_path / "data.csv"
