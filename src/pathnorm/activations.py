@@ -49,6 +49,7 @@ class Activation:
     one_sided_f1: tuple = ()
     closed_form_gamma: Optional[float] = None
     params: dict = field(default_factory=dict)
+    spec: Optional[dict] = None  # the JSON object a custom activation was built from
 
     @property
     def label(self) -> str:
@@ -113,6 +114,10 @@ def leaky_relu(lam: float = 0.1) -> Activation:
 
 @lru_cache(maxsize=None)
 def sigmoid() -> Activation:
+    def f1(x):
+        s = special.expit(x)
+        return s * (1.0 - s)
+
     def f2(x):
         s = special.expit(x)
         return s * (1.0 - s) * (1.0 - 2.0 * s)
@@ -120,7 +125,7 @@ def sigmoid() -> Activation:
     return Activation(
         name="sigmoid",
         f=special.expit,
-        f1=lambda x: special.expit(x) * (1.0 - special.expit(x)),
+        f1=f1,
         f2=f2,
         asymptote_left=(0.0, 0.0),
         asymptote_right=(0.0, 1.0),
@@ -130,11 +135,15 @@ def sigmoid() -> Activation:
 
 @lru_cache(maxsize=None)
 def tanh() -> Activation:
+    def f2(x):
+        t = np.tanh(x)
+        return -2.0 * t * (1.0 - t**2)
+
     return Activation(
         name="tanh",
         f=np.tanh,
         f1=lambda x: 1.0 - np.tanh(x) ** 2,
-        f2=lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2),
+        f2=f2,
         asymptote_left=(0.0, -1.0),
         asymptote_right=(0.0, 1.0),
         closed_form_gamma=5.0,
@@ -195,7 +204,7 @@ def softplus() -> Activation:
         name="softplus",
         f=lambda x: np.logaddexp(0.0, x),
         f1=special.expit,
-        f2=lambda x: special.expit(x) * (1.0 - special.expit(x)),
+        f2=sigmoid().f1,
         asymptote_left=(0.0, 0.0),
         asymptote_right=(1.0, 0.0),
         closed_form_gamma=1.0 + 2.0 * np.log(2.0),
@@ -248,11 +257,6 @@ def swish(beta: float = 1.0) -> Activation:
     )
 
 
-def catalog():
-    """The eight built-in activations at their default hyperparameters."""
-    return [relu(), leaky_relu(0.1), sigmoid(), tanh(), elu(1.0), gelu(), softplus(), swish(1.0)]
-
-
 _FACTORIES = {
     "relu": relu,
     "leaky_relu": leaky_relu,
@@ -264,6 +268,12 @@ _FACTORIES = {
     "swish": swish,
 }
 
+
+def catalog():
+    """The eight built-in activations at their default hyperparameters."""
+    return [make() for make in _FACTORIES.values()]
+
+
 _PARAM_ALIASES = {"lambda": "lam"}
 
 
@@ -272,10 +282,9 @@ def make_activation(name: str, **params) -> Activation:
         factory = _FACTORIES[name]
     except KeyError:
         raise ParseError(f"unknown activation {name!r}") from None
-    params = {_PARAM_ALIASES.get(k, k): v for k, v in params.items()}
     try:
-        return factory(**params)
-    except (TypeError, ValueError) as exc:
+        return factory(**{_PARAM_ALIASES.get(k, k): float(v) for k, v in params.items()})
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameters for {name}: {exc}") from None
 
 
@@ -299,20 +308,26 @@ def by_name(ref: str) -> Activation:
 
 def load_custom(path) -> Activation:
     """Build an activation from a JSON file of expressions and metadata."""
-    raw = load_json(path, "activation")
+    return custom_activation(load_json(path, "activation"), f"activation file {path}")
+
+
+def custom_activation(raw, source: str = "activation spec") -> Activation:
+    """Build an activation from a JSON object of expressions and metadata,
+    kept as `spec` so that a saved model embeds it; `source` names it in errors."""
     try:
         fns = {key: compile_expr(raw[key]) for key in ("f", "f1", "f2")}
         sing = tuple(float(v) for v in raw.get("singular_points", ()))
         one_sided = tuple((float(l), float(r)) for l, r in raw.get("one_sided_f1", ()))
         left = tuple(float(v) for v in raw["asymptote_left"])
         right = tuple(float(v) for v in raw["asymptote_right"])
+        closed = raw.get("closed_form_gamma")
+        closed = None if closed is None else float(closed)
     except KeyError as exc:
-        raise ParseError(f"activation file misses key {exc}")
-    except (ExprError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad activation file {path}: {exc}")
+        raise ParseError(f"{source} misses key {exc}")
+    except (ExprError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {source}: {exc}")
     if len(one_sided) != len(sing):
         raise ParseError("one_sided_f1 must align with singular_points")
-    closed = raw.get("closed_form_gamma")
     return Activation(
         name=str(raw.get("name", "custom")),
         f=fns["f"],
@@ -322,7 +337,8 @@ def load_custom(path) -> Activation:
         asymptote_right=right,
         singular_points=sing,
         one_sided_f1=one_sided,
-        closed_form_gamma=None if closed is None else float(closed),
+        closed_form_gamma=closed,
+        spec=raw,
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import activations as act_mod
 from .activations import Activation
-from .errors import LambdaTooSmall, NormBudgetViolated
+from .errors import LambdaTooSmall, NormBudgetViolated, NumericalError
 from .resnet import ResNet, eval_resnet, norm_closed
 from .rng import make_rng
 from .twolayer import TwoLayerNet, c_sigma, eval_two_layer
@@ -75,17 +75,8 @@ def apriori_bound_two_layer(
     Requires lam >= lambda_n; norm_f is the representation norm of the
     target.
     """
-    gamma_sigma = act_mod.gamma(act)
-    lam_n = lambda_n_two_layer(d, n, gamma_sigma)
-    if lam < lam_n * (1.0 - 1e-12):
-        raise LambdaTooSmall(f"lam={lam:g} below lambda_n={lam_n:g}")
-    cs = c_sigma(act)
-    return (
-        3.0 * cs * norm_f**2 / (2.0 * m)
-        + 2.0 * norm_f * lam
-        + 2.0 * (norm_f + 1.0) * lam_n
-        + 2.0 * math.sqrt(2.0 * math.log(14.0 / delta) / n)
-    )
+    lam_n = lambda_n_two_layer(d, n, act_mod.gamma(act))
+    return _apriori_bound(norm_f, m, n, delta, lam, lam_n, 1.0, act)
 
 
 def apriori_bound_resnet(
@@ -100,12 +91,18 @@ def apriori_bound_resnet(
 ) -> float:
     gamma_sigma = act_mod.gamma(act)
     lam_n = lambda_n_resnet(d, n, gamma_sigma)
+    return _apriori_bound(norm_f, depth * m, n, delta, lam, lam_n, 4.0 * gamma_sigma + 1.0, act)
+
+
+def _apriori_bound(norm_f, units, n, delta, lam, lam_n, c2, act) -> float:
+    """The a-priori bound shared by both classes: `units` hidden units in
+    all, norm weight c2 (1 for two-layer nets, 4 gamma + 1 for residual
+    nets). Refuses lam below lambda_n."""
     if lam < lam_n * (1.0 - 1e-12):
         raise LambdaTooSmall(f"lam={lam:g} below lambda_n={lam_n:g}")
     cs = c_sigma(act)
-    c2 = 4.0 * gamma_sigma + 1.0
     return (
-        3.0 * cs * norm_f**2 / (2.0 * depth * m)
+        3.0 * cs * norm_f**2 / (2.0 * units)
         + 2.0 * c2 * norm_f * lam
         + 2.0 * (c2 * norm_f + 1.0) * lam_n
         + 2.0 * math.sqrt(2.0 * math.log(14.0 / delta) / n)
@@ -219,7 +216,10 @@ def random_resnet_candidates(
             act,
             weight_c,
         )
-        scale = budget / norm_closed(net)
+        norm = norm_closed(net)
+        if not math.isfinite(norm):
+            raise NumericalError(f"candidate norm overflows at weight constant {weight_c:g}")
+        scale = budget / norm
         out.append(
             ResNet(net.v, net.ws, net.us, net.alpha * scale, act, weight_c)
         )

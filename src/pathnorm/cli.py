@@ -48,49 +48,26 @@ def _intf(text: str) -> int:
     return int(value)
 
 
-def _count(text: str) -> int:
-    """Integer flag value of at least 1."""
-    value = _intf(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _flag(convert, rule, accept):
+    """An argparse type: the text through `convert`, then held to `rule`."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _posf(text: str) -> float:
-    """Finite float flag value above 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-def _nonneg(text: str) -> float:
-    """Finite float flag value of at least 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
-
-
-def _frac(text: str) -> float:
-    """Float flag value in (0, 1]: a failure probability or a required fraction."""
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
-    return value
-
-
-# reference instances reproducing the closed-form table
-_TABLE_REFS = (
-    "relu",
-    "leaky_relu:lam=0.1",
-    "sigmoid",
-    "tanh",
-    "elu:alpha=1",
-    "gelu",
-    "softplus",
-    "swish:beta=1",
-)
+_count = _flag(_intf, "at least 1", lambda v: v >= 1)
+_posf = _flag(float, "finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_nonneg = _flag(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_frac = _flag(float, "in (0, 1]", lambda v: 0 < v <= 1)  # a probability or a fraction
+_seed = _flag(_intf, "in [0, 2**128)", lambda v: 0 <= v < 2**128)  # a Philox key
 
 
 def _fmt(value) -> str:
@@ -123,32 +100,28 @@ def _emit(rows, fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (report rows, whether every guarantee held)
 
 
-def cmd_gamma_table(args) -> int:
-    refs = args.only if args.only else list(_TABLE_REFS)
-
-    def one(ref):
-        act = by_name(ref)
+def cmd_gamma_table(args):
+    acts = [by_name(ref) for ref in args.only] if args.only else act_mod.catalog()
+    rows = []
+    for act in acts:
         parts = act_mod.gamma_parts(act)
         closed = act.closed_form_gamma
-        return {
+        rows.append({
             "activation": act.label,
             "gamma0": parts.gamma0,
             "linear_term": parts.linear_term,
             "gamma": parts.total,
             "closed_form": closed,
             "abs_error": abs(parts.total - closed) if closed is not None else None,
-        }
-
-    rows = [one(ref) for ref in refs]
-    _emit(rows, args.format, args.out)
+        })
     bad = [r for r in rows if r["abs_error"] is not None and r["abs_error"] > args.tol]
-    return VERIFY_FAIL if bad else OK
+    return rows, not bad
 
 
-def cmd_approx_1d(args) -> int:
+def cmd_approx_1d(args):
     act = by_name(args.activation)
     net, cert = approximate_activation(act, args.eps)
     if args.save_model:
@@ -165,15 +138,14 @@ def cmd_approx_1d(args) -> int:
         "window": cert.window_halfwidth,
         "partition": cert.partition_size,
     }
-    _emit([row], args.format, args.out)
     ok = (
         cert.sup_error_measured <= cert.epsilon_requested
         and cert.path_norm <= cert.gamma_reference + cert.epsilon_requested
     )
-    return OK if ok else VERIFY_FAIL
+    return [row], ok
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args):
     model = load_model(args.model)
     if isinstance(model, TwoLayerNet):
         rows = [{
@@ -182,8 +154,7 @@ def cmd_norm(args) -> int:
             "path_norm": path_norm(model),
             "modified_path_norm": modified_path_norm(model),
         }]
-        _emit(rows, args.format, args.out)
-        return OK
+        return rows, True
     closed = res_mod.norm_closed(model)
     rec = res_mod.norm_recursive(model)
     try:
@@ -203,14 +174,13 @@ def cmd_norm(args) -> int:
         "closed_vs_recursive": abs(closed - rec.total) / scale,
         "closed_vs_bruteforce": brute_delta,
     }]
-    _emit(rows, args.format, args.out)
     ok = abs(closed - rec.total) / scale <= 1e-10
     if brute_delta is not None:
         ok = ok and brute_delta / scale <= 1e-10
-    return OK if ok else VERIFY_FAIL
+    return rows, ok
 
 
-def cmd_rewrite(args) -> int:
+def cmd_rewrite(args):
     model = load_model(args.model)
     if not isinstance(model, TwoLayerNet):
         raise ParseError("rewrite expects a two_layer model")
@@ -226,15 +196,14 @@ def cmd_rewrite(args) -> int:
         "deviation_bound": report.deviation_bound,
         "n_check_points": report.n_check_points,
     }
-    _emit([row], args.format, args.out)
     ok = (
         report.path_norm_rewritten <= report.path_norm_bound * (1 + 1e-12)
         and report.max_deviation <= report.deviation_bound * (1 + 1e-12)
     )
-    return OK if ok else VERIFY_FAIL
+    return [row], ok
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args):
     model = load_model(args.model)
     if not isinstance(model, TwoLayerNet):
         raise ParseError("embed expects a two_layer model")
@@ -258,8 +227,7 @@ def cmd_embed(args) -> int:
         "max_eval_deviation": dev,
         "n_check_points": args.n_check,
     }
-    _emit([row], args.format, args.out)
-    return OK if dev <= 1e-10 and closed <= bound * (1 + 1e-12) else VERIFY_FAIL
+    return [row], dev <= 1e-10 and closed <= bound * (1 + 1e-12)
 
 
 def _resolve_gamma(spec: str) -> float:
@@ -267,29 +235,23 @@ def _resolve_gamma(spec: str) -> float:
         return act_mod.gamma(by_name(spec[5:]))
     try:
         return _nonneg(spec)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ParseError(f"--gamma {exc}") from None
 
 
-def cmd_rad_check(args) -> int:
+def cmd_rad_check(args):
     rng = make_rng(args.seed)
     x = rng.uniform(-1.0, 1.0, size=(args.n, args.d))
-    if args.family == "two-layer":
-        act = by_name(args.activation)
-        gam = act_mod.gamma(act)
-        cands = bounds_mod.random_two_layer_candidates(
-            args.candidates, args.d, args.m, act, args.budget, seed=args.seed
-        )
-        bound = bounds_mod.rad_bound_two_layer(args.budget, args.d, args.n, gam)
-        norm_fn = modified_path_norm
-    elif args.family == "relu":
-        act = act_mod.relu()
+    if args.family in ("two-layer", "relu"):
+        # ReLU nets are the two-layer class under the plain path norm (gamma = 1)
+        relu_only = args.family == "relu"
+        act = act_mod.relu() if relu_only else by_name(args.activation)
         cands = bounds_mod.random_two_layer_candidates(
             args.candidates, args.d, args.m, act, args.budget, seed=args.seed,
-            modified=False,
+            modified=not relu_only,
         )
-        bound = bounds_mod.rad_bound_relu(args.budget, args.d, args.n)
-        norm_fn = path_norm
+        bound = bounds_mod.rad_bound_two_layer(args.budget, args.d, args.n, act_mod.gamma(act))
+        norm_fn = path_norm if relu_only else modified_path_norm
     elif args.family == "resnet":
         act = by_name(args.activation)
         gam = _resolve_gamma(args.gamma) if args.gamma else act_mod.gamma(act)
@@ -319,11 +281,10 @@ def cmd_rad_check(args) -> int:
         "bound": bound,
         "margin": bound - est.value,
     }
-    _emit([row], args.format, args.out)
-    return OK if est.value <= bound else VERIFY_FAIL
+    return [row], est.value <= bound
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     gam = act_mod.gamma(by_name(args.activation))
     kind = args.kind
     if kind == "rad-two-layer":
@@ -351,15 +312,14 @@ def cmd_bounds(args) -> int:
         )
     row = {"kind": kind, "d": args.d, "n": args.n, "activation": args.activation,
            "gamma": gam, "value": value}
-    _emit([row], args.format, args.out)
-    return OK
+    return [row], True
 
 
 def _load_csv_dataset(path: str) -> Dataset:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read data file: {exc}")
     if not rows:
         raise ParseError("empty data file")
@@ -391,7 +351,7 @@ def _synth_dataset(model_path: str, n: int, seed: int) -> Dataset:
     return Dataset(x, y)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     if (args.data is None) == (args.target is None):
         raise ParseError("give exactly one of --data or --target")
     if args.data:
@@ -416,8 +376,7 @@ def cmd_train(args) -> int:
         "final_risk": empirical_risk(net, data),
         "modified_path_norm": modified_path_norm(net),
     }
-    _emit([row], args.format, args.out)
-    return OK
+    return [row], True
 
 
 def _load_rep(path: str, d: int) -> DiscreteBarronRep:
@@ -437,7 +396,9 @@ def _load_rep(path: str, d: int) -> DiscreteBarronRep:
         raise ParseError(f"malformed atoms file: {exc}")
 
 
-def cmd_apriori(args) -> int:
+def cmd_apriori(args):
+    if args.seed + args.seeds > 2**128:
+        raise ParseError("--seed + --seeds must not exceed 2**128")
     rep = _load_rep(args.atoms, args.d)
     act = by_name(args.activation)
     seeds = range(args.seed, args.seed + args.seeds)
@@ -454,8 +415,7 @@ def cmd_apriori(args) -> int:
         "bound": r.bound,
         "ok": r.ok,
     } for r in report.rows]
-    _emit(rows, args.format, args.out)
-    return OK if report.fraction_ok >= args.require else VERIFY_FAIL
+    return rows, report.fraction_ok >= args.require
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +423,7 @@ def cmd_apriori(args) -> int:
 
 
 def _common(sub):
-    sub.add_argument("--seed", type=_intf, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--out", default=None, help="write report to this path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -544,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("train", help="path-norm-regularized two-layer training")
     p.add_argument("--data", default=None, help="CSV with columns x0..x{d-1},y")
     p.add_argument("--target", default=None, help="two_layer model JSON to synthesize from")
-    p.add_argument("--n", type=_intf, default=256, help="synthesized sample count")
+    p.add_argument("--n", type=_count, default=256, help="synthesized sample count")
     p.add_argument("--width", type=_count, default=32)
     p.add_argument("--activation", default="relu")
     p.add_argument("--steps", type=_count, default=500)
@@ -579,17 +539,24 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
+    # the one place that writes a report and maps the outcome to an exit code
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        rows, ok = args.fn(args)
+        bad = [k for row in rows for k, v in row.items()
+               if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise NumericalError(f"non-finite {bad[0]} in the report")
+        _emit(rows, args.format, args.out)
     except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC
-    except PathNormError as exc:
+    except (PathNormError, OSError) as exc:  # OSError: an output file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except (MemoryError, RecursionError) as exc:  # a huge size flag, a deeply nested expression
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
+        return USAGE
+    return OK if ok else VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -23,10 +23,6 @@ class NoAsymptote(NumericalError):
     """Edge sampling of f and f' did not stabilize to a linear asymptote."""
 
 
-class GammaInfinite(NumericalError):
-    """The complexity norm of the activation diverges."""
-
-
 class NoConvergence(NumericalError):
     """An iterative refinement hit its cap before meeting the target."""
 
@@ -82,7 +78,7 @@ def load_json(path, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno)

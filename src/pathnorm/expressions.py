@@ -93,4 +93,10 @@ def compile_expr(source: str):
     except SyntaxError as exc:
         raise ExprError(f"cannot parse {source!r}: {exc.msg}") from None
     body = _build(tree)
-    return lambda x: np.asarray(body(np.asarray(x, dtype=float)), dtype=float)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(body(x), dtype=float)
+        return out if out.shape == x.shape else np.full(x.shape, out)  # x-free, e.g. f2 = "0"
+
+    return fn

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import activations as act_mod
 from .activations import Activation
-from .errors import GammaInfinite, NoConvergence, NonIntegrable
+from .errors import NoConvergence
 
 _PRUNE_TOL = 1e-15
 _MAX_KNOTS = 1_000_000
@@ -214,10 +214,7 @@ def approximate_activation(act: Activation, eps: float):
     """Certified ReLU approximant; returns (ReluNet1D, ApproxCertificate)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    try:
-        gamma_ref = act_mod.gamma(act)
-    except NonIntegrable as exc:
-        raise GammaInfinite(str(exc)) from exc
+    gamma_ref = act_mod.gamma(act)
 
     x_eps, d_left, d_right = _pick_anchor(act, eps)
     t_half = _window_halfwidth(act, x_eps, eps)

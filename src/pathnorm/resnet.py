@@ -109,16 +109,21 @@ class ModificationBounds(NamedTuple):
     r_bound: float
 
 
-def norm_closed(net: ResNet) -> float:
-    """Right-to-left evaluation of the product-sum form of the norm."""
-    row = np.abs(net.alpha)
+def _sweep(net: ResNet, row, blocks: int) -> float:
+    """Weighted norm of the paths into `row` that enter at the input map or
+    at one of blocks 1..`blocks`, summed right to left."""
     total = 0.0
-    for w, u in zip(reversed(net.ws), reversed(net.us)):
+    for w, u in zip(reversed(net.ws[:blocks]), reversed(net.us[:blocks])):
         through = row @ np.abs(u)
         total += float(through.sum())
         row = row + net.c * through @ np.abs(w)
     total += float((row @ np.abs(net.v)).sum())
     return total
+
+
+def norm_closed(net: ResNet) -> float:
+    """Right-to-left evaluation of the product-sum form of the norm."""
+    return _sweep(net, np.abs(net.alpha), net.depth)
 
 
 def norm_recursive(net: ResNet) -> RecursiveNorm:
@@ -230,14 +235,7 @@ def hidden_norm(net: ResNet, layer: int, neuron: int) -> float:
         raise IndexOutOfRange(f"layer {layer} outside 1..{net.depth}")
     if not 1 <= neuron <= net.width:
         raise IndexOutOfRange(f"neuron {neuron} outside 1..{net.width}")
-    row = np.abs(net.ws[layer - 1][neuron - 1])
-    total = 0.0
-    for k in range(layer - 1, 0, -1):
-        through = row @ np.abs(net.us[k - 1])
-        total += float(through.sum())
-        row = row + net.c * through @ np.abs(net.ws[k - 1])
-    total += float((row @ np.abs(net.v)).sum())
-    return net.c * total
+    return net.c * _sweep(net, np.abs(net.ws[layer - 1][neuron - 1]), layer - 1)
 
 
 def embed_two_layer(src: TwoLayerNet, depth: int, width: int, c: float) -> ResNet:

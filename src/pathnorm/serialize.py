@@ -9,6 +9,7 @@ Schemas:
      "V": [[...]], "alpha": [...],
      "blocks": [{"W": [[...]], "U": [[...]]}, ...]}
 
+A custom activation is written as the JSON object it was built from.
 One-dimensional ReLU nets are written in the two_layer schema with d = 1.
 Numbers survive a round trip bit-exactly (shortest-repr JSON floats).
 """
@@ -17,7 +18,7 @@ import json
 
 import numpy as np
 
-from .activations import Activation, make_activation, relu
+from .activations import Activation, custom_activation, make_activation, relu
 from .errors import ParseError, load_json
 from .relu1d import ReluNet1D
 from .resnet import ResNet
@@ -25,16 +26,20 @@ from .twolayer import TwoLayerNet
 
 
 def activation_to_dict(act: Activation) -> dict:
+    if act.spec is not None:
+        return act.spec
     return {"name": act.name, "params": {k: float(v) for k, v in act.params.items()}}
 
 
 def activation_from_dict(obj) -> Activation:
+    if isinstance(obj, dict) and "f" in obj:
+        return custom_activation(obj)
     if not isinstance(obj, dict) or "name" not in obj:
         raise ParseError("activation must be an object with a 'name'")
     params = obj.get("params") or {}
     if not isinstance(params, dict):
         raise ParseError("activation params must be an object")
-    return make_activation(str(obj["name"]), **{k: float(v) for k, v in params.items()})
+    return make_activation(str(obj["name"]), **params)
 
 
 def model_to_dict(model) -> dict:
@@ -85,7 +90,7 @@ def model_from_dict(obj):
                 act,
                 float(obj["c"]),
             )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {kind} model: {exc}") from None
     raise ParseError(f"unknown model type {kind!r}")
 

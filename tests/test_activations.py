@@ -1,5 +1,6 @@
 """Activation norms against closed forms, plus the error paths."""
 
+import json
 import math
 
 import numpy as np
@@ -255,6 +256,22 @@ def test_custom_activation_file(tmp_path):
     )
     act = by_name(f"file:{spec}")
     assert A.gamma(act) == pytest.approx(1.0 + 2.0 * math.log(2), abs=1e-3)
+
+
+def test_custom_activation_with_constant_derivative(tmp_path):
+    spec = tmp_path / "leaky_clone.json"
+    spec.write_text(json.dumps({
+        "f": "max(x, 0.5*x)",
+        "f1": "0.75 + 0.25*sign(x)",
+        "f2": "0",
+        "asymptote_left": [0.5, 0],
+        "asymptote_right": [1, 0],
+        "singular_points": [0],
+        "one_sided_f1": [[0.5, 1]],
+    }))
+    act = by_name(f"file:{spec}")
+    assert act.f2(np.zeros(3)).shape == (3,)
+    assert A.gamma(act) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_custom_activation_bad_json_reports_position(tmp_path):

@@ -1,11 +1,14 @@
 """End-to-end CLI runs, in process."""
 
+import contextlib
 import csv
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathnorm import cli
 from pathnorm.activations import sigmoid
@@ -272,11 +275,27 @@ TRAIN_CSV = ["train", "--data", "{data}", "--width", "2", "--steps", "1"]
     (["rad-check", "--budget", "nan"], None),
     (["rad-check", "--family", "resnet", "--gamma", "-1"], None),
     (["rad-check", "--family", "resnet", "--gamma", "abc"], None),
+    (["gamma-table", "--only", "relu", "--out", "{missing}/x.csv"], None),
+    (["approx-1d", "--activation", "tanh", "--eps", "0.1", "--save-model", "{missing}/x.json"],
+     None),
+    (["rad-check", "--seed", "-3"], None),
+    (["apriori", "--seed", str(2**128 - 1), "--seeds", "2"], None),
+    (["train", "--target", "{model}", "--n", "-5", "--steps", "1"], None),
+    (["train", "--target", "{model}", "--n", "1e12", "--steps", "1"], None),
+    (["rad-check", "--n", "1e12"], None),
+    (["apriori", "--n", "1e12", "--seeds", "1"], None),
+    (["approx-1d", "--activation", "file:{deep}", "--eps", "0.1"], None),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, csv_text):
     data = tmp_path / "data.csv"
     data.write_text(csv_text or "")
-    argv = [arg.format(model=two_layer_file[0], data=data) for arg in argv]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({
+        "f": "-" * 5000 + "x", "f1": "1", "f2": "0",
+        "asymptote_left": [1, 0], "asymptote_right": [1, 0],
+    }))
+    argv = [arg.format(model=two_layer_file[0], data=data, deep=deep,
+                       missing=tmp_path / "no-such-dir") for arg in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
@@ -298,8 +317,222 @@ def test_numeric_error_exit(capsys, tmp_path):
     assert "numeric" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rad-check", "--family", "resnet", "--gamma", "1e308"],
+    ["rad-check", "--family", "resnet", "--gamma", "1e200"],
+    ["rad-check", "--budget", "1e308"],
+    ["bounds", "--kind", "rad-two-layer", "--q", "1e308", "--d", "2", "--n", "10"],
+])
+def test_non_finite_report_is_numeric_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "numeric failure" in err
+    assert out == ""
+
+
 def test_integer_flags_accept_scientific(capsys):
     code, out, _ = run(capsys, "bounds", "--kind", "rad-relu", "--q", "1", "--d", "2",
                        "--n", "1e4", "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["n"] == 10000
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under generated input: 0 ok, 1 a guarantee failed,
+# 2 usage or input error, 3 numeric failure; never a traceback.
+
+
+def check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(out.splitlines()) >= 2  # a header and at least one row
+    if code == 2:
+        assert "error" in err
+    if code == 3:
+        assert "numeric failure" in err
+        assert out == ""
+
+
+TOKENS = ("0", "-1", "0.5", "1e-400", "1e400", "nan", "inf", "-inf", "abc", "")
+# flags that set how often something runs: never drawn above their base value
+LOOP_FLAGS = {"--steps", "--seeds", "--candidates", "--sign-draws", "--m", "--width",
+              "--depth", "--n-check"}
+RAD = ["--n", "16", "--d", "2", "--m", "2", "--depth", "2", "--res-dim", "2",
+       "--candidates", "2", "--sign-draws", "4"]
+# (small valid command, the numeric flags it takes)
+BASES = [
+    (["gamma-table", "--only", "relu"], ["--tol", "--seed"]),
+    (["approx-1d", "--activation", "relu", "--eps", "0.5"], ["--eps", "--seed"]),
+    (["norm", "--model", "{model}"], ["--seed"]),
+    (["rewrite", "--model", "{model}", "--eps", "0.5"], ["--eps", "--seed"]),
+    (["embed", "--model", "{model}", "--depth", "2", "--width", "2", "--n-check", "8"],
+     ["--depth", "--width", "--n-check", "--weight-c", "--seed"]),
+    *[(["rad-check", "--family", family, *RAD],
+       ["--n", "--d", "--m", "--depth", "--res-dim", "--budget", "--candidates",
+        "--sign-draws", "--seed"] + (["--gamma"] if family == "resnet" else []))
+      for family in ("two-layer", "relu", "resnet", "linear")],
+    *[(["bounds", "--kind", kind, "--d", "2", "--n", "10", "--m", "4", "--depth", "2"],
+       ["--q", "--d", "--n", "--m", "--depth", "--delta", "--lam", "--seed"])
+      for kind in ("rad-two-layer", "rad-relu", "rad-resnet", "lambda-two-layer",
+                   "lambda-resnet", "posterior", "apriori-two-layer", "apriori-resnet")],
+    (["train", "--target", "{model}", "--n", "8", "--width", "2", "--steps", "2"],
+     ["--n", "--width", "--steps", "--step-size", "--lam", "--batch", "--seed"]),
+    (["apriori", "--d", "1", "--n", "8", "--m", "2", "--seeds", "1", "--steps", "2"],
+     ["--d", "--n", "--m", "--seeds", "--steps", "--step-size", "--lam-mult", "--delta",
+      "--require", "--seed"]),
+]
+
+
+def _above(token, limit):
+    try:
+        return float(token) > limit
+    except ValueError:
+        return False
+
+
+@st.composite
+def cli_argv(draw):
+    base, flags = draw(st.sampled_from(BASES))
+    flag = draw(st.sampled_from(flags))
+    tokens = TOKENS + (("1e12",) if flag == "--n" else ())
+    if flag in LOOP_FLAGS:
+        limit = float(base[base.index(flag) + 1])
+        tokens = tuple(t for t in tokens if not _above(t, limit))
+    return base + [f"{flag}={draw(st.sampled_from(tokens))}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    rng = make_rng(7)
+    net = TwoLayerNet(0.5 * rng.normal(size=4), rng.normal(size=(4, 3)), rng.normal(size=4),
+                      sigmoid())
+    save_model(net, path / "two.json")
+    return path
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=cli_argv())
+def test_exit_contract_numeric_flags(fuzz_dir, argv):
+    check_exit_contract([arg.format(model=fuzz_dir / "two.json") for arg in argv])
+
+
+FINITE = st.floats(-4, 4)
+ODD = st.sampled_from([10**400, 0.0, 5e-324, 1e308, -1e308, float("inf"), float("nan")])
+JSON = st.recursive(
+    st.none() | st.booleans() | FINITE | ODD | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def expressions(atoms, binops, functions):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: (
+            st.builds("({}){}({})".format, inner, st.sampled_from(binops), inner)
+            | st.builds("{}({})".format, st.sampled_from(functions), inner)
+            | st.builds("max({}, {})".format, inner, inner)
+        ),
+        max_leaves=5,
+    )
+
+
+GOOD_EXPRESSIONS = expressions(["x", "0", "2.5", "pi", "e", "1e308"], ["+", "-", "*", "/", "**"],
+                               ["exp", "ln", "sqrt", "tanh", "abs", "erf", "sign"])
+ANY_EXPRESSIONS = (
+    expressions(["x", "0", "y", "'s'", "", "-" * 5000 + "x"], ["+", "**", "%", "<"],
+                ["exp", "sin", "__import__"])
+    | st.text(max_size=8) | FINITE | ODD
+)
+
+
+def custom_specs(expr, number):
+    return st.fixed_dictionaries(
+        {"f": expr, "f1": expr, "f2": expr,
+         "asymptote_left": st.lists(number, min_size=2, max_size=2),
+         "asymptote_right": st.lists(number, min_size=2, max_size=2)},
+        optional={"name": JSON, "singular_points": st.lists(number, max_size=1),
+                  "one_sided_f1": st.lists(st.lists(number, min_size=2, max_size=2), max_size=1),
+                  "closed_form_gamma": number})
+
+
+GOOD_ACTIVATIONS = (
+    st.sampled_from([{"name": "relu", "params": {}}, {"name": "tanh"},
+                     {"name": "swish", "params": {"beta": 2.0}},
+                     {"name": "leaky_relu", "params": {"lambda": 0.2}}])
+    | custom_specs(GOOD_EXPRESSIONS, FINITE)
+)
+ODD_ACTIVATIONS = (
+    st.fixed_dictionaries({
+        "name": st.sampled_from(["relu", "swish", "leaky_relu", "elu", "nope"]),
+        "params": st.dictionaries(st.sampled_from(["beta", "lam", "alpha", "zeta"]),
+                                  FINITE | ODD | st.text(max_size=3), max_size=2),
+    })
+    | custom_specs(ANY_EXPRESSIONS, FINITE | ODD | st.text(max_size=3))
+    | JSON
+)
+
+
+@st.composite
+def model_dicts(draw):
+    """Two-layer and residual model objects; about half are well formed."""
+    odd = draw(st.booleans())
+    number = FINITE | ODD if odd else FINITE
+    activations = GOOD_ACTIVATIONS | ODD_ACTIVATIONS if odd else GOOD_ACTIVATIONS
+    dims = [draw(st.integers(1, 3)) for _ in range(4)]
+    d, dim, width, depth = dims if draw(st.booleans()) else [dims[0]] * 4
+    if odd and draw(st.booleans()):
+        return draw(JSON)
+
+    def mat(rows, cols):
+        return draw(st.lists(st.lists(number, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        return {"type": "two_layer", "activation": draw(activations),
+                "units": [[a, b, c] for a, b, c in zip(mat(1, width)[0], mat(width, d),
+                                                       mat(1, width)[0])]}
+    return {"type": "resnet", "activation": draw(activations),
+            "c": draw(st.floats(0.5, 8) | number),
+            "V": mat(dim, d + 1), "alpha": mat(1, dim)[0],
+            "blocks": [{"W": mat(width, dim), "U": mat(dim, width)} for _ in range(depth)]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(obj=model_dicts())
+def test_exit_contract_model_json(fuzz_dir, obj):
+    path = fuzz_dir / "drawn.json"
+    path.write_text(json.dumps(obj))
+    check_exit_contract(["norm", "--model", str(path)])
+
+
+ODD_CELLS = st.sampled_from(["-1", "2", "nan", "inf", "1e400", "abc", ""])
+
+
+@st.composite
+def csv_texts(draw):
+    """Data files with columns x0..,y; about half hold odd cells or shapes."""
+    cols = draw(st.integers(1, 3))
+    cell = st.floats(0, 1).map(repr)
+    header = [f"x{i}" for i in range(cols - 1)] + ["y"]
+    if draw(st.booleans()):
+        cell = cell | ODD_CELLS
+        header = draw(st.just(header) | st.lists(ODD_CELLS | st.just("y"), max_size=3))
+    rows = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols)
+                         | st.lists(cell, max_size=4), max_size=4))
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=csv_texts().map(str.encode) | st.binary(max_size=24))
+def test_exit_contract_csv(fuzz_dir, data):
+    path = fuzz_dir / "drawn.csv"
+    path.write_bytes(data)
+    check_exit_contract(["train", "--data", str(path), "--steps", "1", "--width", "2"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pathnorm import activations as A
 from pathnorm.activations import Activation, catalog, elu, relu, sigmoid, tanh
-from pathnorm.errors import GammaInfinite, NoConvergence
+from pathnorm.errors import NoConvergence, NonIntegrable
 from pathnorm.relu1d import (
     ReluNet1D,
     approximate_activation,
@@ -121,7 +121,7 @@ def test_gamma_infinite_refused():
         asymptote_left=(0.0, 0.0),
         asymptote_right=(0.0, 0.0),
     )
-    with pytest.raises(GammaInfinite):
+    with pytest.raises(NonIntegrable):
         approximate_activation(quad, 1e-2)
 
 

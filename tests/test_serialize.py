@@ -1,9 +1,11 @@
 """JSON round trips for activations and models."""
 
+import json
+
 import numpy as np
 import pytest
 
-from pathnorm.activations import leaky_relu, relu, sigmoid, swish
+from pathnorm.activations import custom_activation, leaky_relu, relu, sigmoid, swish
 from pathnorm.errors import ParseError
 from pathnorm.relu1d import ReluNet1D, approximate_activation, eval_relu1d, path_norm_1d
 from pathnorm.resnet import ResNet, eval_resnet, norm_closed
@@ -91,6 +93,13 @@ def test_load_missing_file():
         load_model("/nonexistent/net.json")
 
 
+def test_load_undecodable_file(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x80")
+    with pytest.raises(ParseError):
+        load_model(path)
+
+
 def test_unknown_model_type():
     with pytest.raises(ParseError):
         model_from_dict({"type": "transformer"})
@@ -114,3 +123,38 @@ def test_malformed_model_dicts():
 def test_unknown_activation_name():
     with pytest.raises(ParseError):
         activation_from_dict({"name": "gaussian", "params": {}})
+
+
+# a sigmoid under the name of a built-in: it must reload as itself, not as tanh
+SIGMOID_NAMED_TANH = {
+    "name": "tanh",
+    "f": "1/(1+exp(-x))",
+    "f1": "exp(-x)/(1+exp(-x))**2",
+    "f2": "exp(-x)*(exp(-x)-1)/(1+exp(-x))**3",
+    "asymptote_left": [0, 0],
+    "asymptote_right": [0, 1],
+}
+
+
+@pytest.mark.parametrize("spec", [SIGMOID_NAMED_TANH, dict(SIGMOID_NAMED_TANH, name="mysig")])
+def test_custom_activation_round_trip_bit_exact(tmp_path, spec):
+    rng = make_rng(3)
+    net = TwoLayerNet(rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=4),
+                      custom_activation(spec))
+    path = tmp_path / "custom.json"
+    save_model(net, path)
+    assert json.loads(path.read_text())["activation"] == spec
+    back = load_model(path)
+    x = rng.uniform(-1, 1, size=(64, 2))
+    assert np.array_equal(eval_two_layer(back, x), eval_two_layer(net, x))
+    assert back.activation.f(0.5) == pytest.approx(1 / (1 + np.exp(-0.5)), rel=1e-15)
+
+
+def test_builtin_activation_file_has_name_and_params_only():
+    assert activation_to_dict(swish(2.0)) == {"name": "swish", "params": {"beta": 2.0}}
+    assert activation_to_dict(sigmoid()) == {"name": "sigmoid", "params": {}}
+
+
+def test_non_numeric_activation_param():
+    with pytest.raises(ParseError):
+        activation_from_dict({"name": "swish", "params": {"beta": "abc"}})
