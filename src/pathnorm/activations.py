@@ -15,7 +15,7 @@ one singular point are rejected rather than extrapolated.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -61,6 +61,22 @@ class Activation:
     def __repr__(self):
         return f"Activation({self.label})"
 
+    @cached_property
+    def _gamma(self) -> "GammaParts":
+        # gamma_parts' memo: it lives exactly as long as this activation
+        if len(self.singular_points) > 1:
+            raise MultiSingular(
+                f"{self.label} has {len(self.singular_points)} singular points; only one is supported"
+            )
+        g0 = gamma0(self)
+        if self.singular_points:
+            x0 = self.singular_points[0]
+            d_left, d_right = self.one_sided_f1[0]
+            linear = abs(float(self.f(x0))) + (1.0 + abs(x0)) * (abs(d_right) + abs(d_left))
+        else:
+            _, linear = inf_g(self)
+        return GammaParts(g0, float(linear), g0 + float(linear))
+
 
 class GammaParts(NamedTuple):
     gamma0: float
@@ -77,7 +93,6 @@ class LipschitzBound(NamedTuple):
 # catalog
 
 
-@lru_cache(maxsize=None)
 def relu() -> Activation:
     return Activation(
         name="relu",
@@ -92,7 +107,6 @@ def relu() -> Activation:
     )
 
 
-@lru_cache(maxsize=None)
 def leaky_relu(lam: float = 0.1) -> Activation:
     if lam == 1.0:
         raise ValueError("lam=1 is the identity, not a leaky rectifier")
@@ -112,7 +126,6 @@ def leaky_relu(lam: float = 0.1) -> Activation:
     )
 
 
-@lru_cache(maxsize=None)
 def sigmoid() -> Activation:
     def f1(x):
         s = special.expit(x)
@@ -133,7 +146,6 @@ def sigmoid() -> Activation:
     )
 
 
-@lru_cache(maxsize=None)
 def tanh() -> Activation:
     def f2(x):
         t = np.tanh(x)
@@ -150,7 +162,6 @@ def tanh() -> Activation:
     )
 
 
-@lru_cache(maxsize=None)
 def elu(alpha: float = 1.0) -> Activation:
     def f(x):
         x = np.asarray(x, float)
@@ -179,7 +190,6 @@ def elu(alpha: float = 1.0) -> Activation:
     )
 
 
-@lru_cache(maxsize=None)
 def gelu() -> Activation:
     def phi(x):
         return np.exp(-0.5 * x * x) / _SQRT_2PI
@@ -198,7 +208,6 @@ def gelu() -> Activation:
     )
 
 
-@lru_cache(maxsize=None)
 def softplus() -> Activation:
     return Activation(
         name="softplus",
@@ -225,7 +234,6 @@ def _swish_constants():
     return float(c1), float(c2)
 
 
-@lru_cache(maxsize=None)
 def swish(beta: float = 1.0) -> Activation:
     if beta <= 0:
         raise ValueError("swish needs beta > 0")
@@ -458,12 +466,16 @@ def inf_g(act: Activation):
     vals = np.asarray(g_value(act, xs), float)
     i = int(np.argmin(vals))
     best_x, best = float(xs[i]), float(vals[i])
-    if 0 < i < len(xs) - 1 and vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-        res = optimize.minimize_scalar(
-            lambda t: float(g_value(act, t)),
-            bracket=(xs[i - 1], xs[i], xs[i + 1]),
-            method="golden",
-        )
+    if 0 < i < len(xs) - 1 and vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
+        def g(t):
+            return float(g_value(act, t))
+
+        if vals[i] < vals[i + 1]:
+            res = optimize.minimize_scalar(g, bracket=(xs[i - 1], xs[i], xs[i + 1]), method="golden")
+        else:  # a tie: the minimum lies between the two equal grid values, or g is flat there
+            res = optimize.minimize_scalar(
+                g, bounds=(xs[i], xs[i + 1]), method="bounded", options={"xatol": 1e-12}
+            )
         if res.fun < best:
             best_x, best = float(res.x), float(res.fun)
     g_left, g_right = _g_limits(act)
@@ -474,25 +486,14 @@ def inf_g(act: Activation):
     return np.inf, g_right
 
 
-@lru_cache(maxsize=None)
 def gamma_parts(act: Activation) -> GammaParts:
     """gamma0, the linear-anchor term and their sum.
 
     Smooth case: linear term is inf_x g(x). One singular point x0:
     linear term is |f(x0)| + (1+|x0|)(|f'+(x0)| + |f'-(x0)|).
+    Computed once per activation object and kept on it.
     """
-    if len(act.singular_points) > 1:
-        raise MultiSingular(
-            f"{act.label} has {len(act.singular_points)} singular points; only one is supported"
-        )
-    g0 = gamma0(act)
-    if act.singular_points:
-        x0 = act.singular_points[0]
-        d_left, d_right = act.one_sided_f1[0]
-        linear = abs(float(act.f(x0))) + (1.0 + abs(x0)) * (abs(d_right) + abs(d_left))
-    else:
-        _, linear = inf_g(act)
-    return GammaParts(g0, float(linear), g0 + float(linear))
+    return act._gamma
 
 
 def gamma(act: Activation) -> float:

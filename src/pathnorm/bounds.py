@@ -16,7 +16,7 @@ from .activations import Activation
 from .errors import LambdaTooSmall, NormBudgetViolated, NumericalError
 from .resnet import ResNet, eval_resnet, norm_closed
 from .rng import make_rng
-from .twolayer import TwoLayerNet, c_sigma, eval_two_layer
+from .twolayer import TwoLayerNet, c_sigma, eval_two_layer, modified_path_norm, path_norm
 
 
 def rad_bound_two_layer(q: float, d: int, n: int, gamma_sigma: float) -> float:
@@ -182,14 +182,11 @@ def random_two_layer_candidates(
 ):
     """Random nets rescaled in a to sit exactly on the norm budget."""
     rng = make_rng(seed)
+    norm = modified_path_norm if modified else path_norm
     out = []
     for _ in range(n_candidates):
-        a = rng.normal(size=m)
-        b = rng.normal(size=(m, d))
-        c = rng.normal(size=m)
-        weights = np.abs(b).sum(axis=1) + np.abs(c) + (1.0 if modified else 0.0)
-        scale = budget / float(np.sum(np.abs(a) * weights))
-        out.append(TwoLayerNet(a * scale, b, c, act))
+        net = TwoLayerNet(rng.normal(size=m), rng.normal(size=(m, d)), rng.normal(size=m), act)
+        out.append(TwoLayerNet(net.a * (budget / norm(net)), net.b, net.c, act))
     return out
 
 

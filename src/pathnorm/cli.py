@@ -285,7 +285,8 @@ def cmd_rad_check(args):
 
 
 def cmd_bounds(args):
-    gam = act_mod.gamma(by_name(args.activation))
+    act = by_name(args.activation)
+    gam = act_mod.gamma(act)
     kind = args.kind
     if kind == "rad-two-layer":
         value = bounds_mod.rad_bound_two_layer(args.q, args.d, args.n, gam)
@@ -302,13 +303,12 @@ def cmd_bounds(args):
     elif kind == "apriori-two-layer":
         lam = args.lam if args.lam is not None else bounds_mod.lambda_n_two_layer(args.d, args.n, gam)
         value = bounds_mod.apriori_bound_two_layer(
-            args.q, args.m, args.d, args.n, args.delta, lam, by_name(args.activation)
+            args.q, args.m, args.d, args.n, args.delta, lam, act
         )
     else:  # apriori-resnet
         lam = args.lam if args.lam is not None else bounds_mod.lambda_n_resnet(args.d, args.n, gam)
         value = bounds_mod.apriori_bound_resnet(
-            args.q, args.depth, args.m, args.d, args.n, args.delta, lam,
-            by_name(args.activation),
+            args.q, args.depth, args.m, args.d, args.n, args.delta, lam, act
         )
     row = {"kind": kind, "d": args.d, "n": args.n, "activation": args.activation,
            "gamma": gam, "value": value}
@@ -335,10 +335,7 @@ def _load_csv_dataset(path: str) -> Dataset:
         arr = np.array([[float(v) for v in row] for row in body], float)
     except ValueError as exc:
         raise ParseError(f"non-numeric data value: {exc}")
-    try:
-        return Dataset(arr[:, :-1], arr[:, -1])
-    except ValueError as exc:
-        raise ParseError(f"data out of range: {exc}")
+    return Dataset(arr[:, :-1], arr[:, -1])
 
 
 def _synth_dataset(model_path: str, n: int, seed: int) -> Dataset:

@@ -31,6 +31,10 @@ class DimMismatch(PathNormError, ValueError):
     """Input dimension does not match the network."""
 
 
+class OutOfRange(PathNormError, ValueError):
+    """Data outside the domain a routine is defined on."""
+
+
 class TooLarge(PathNormError):
     """The instance exceeds the size cap of an enumeration routine."""
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import activations as act_mod
 from .activations import Activation
 from .bounds import apriori_bound_two_layer, lambda_n_two_layer
-from .errors import Diverged, EmptyDataset
+from .errors import DimMismatch, Diverged, EmptyDataset
 from .rng import make_rng
 from .twolayer import (
     Dataset,
@@ -57,20 +57,22 @@ def objective(net: TwoLayerNet, data: Dataset, lam: float) -> float:
 
 
 def _risk_gradient(net: TwoLayerNet, x: np.ndarray, y: np.ndarray):
-    """Analytic subgradient of the mean truncated loss on (x, y).
+    """Mean truncated loss on (x, y) and its analytic subgradient, from
+    one forward pass, as (risk, da, db, dc).
 
     Predictions outside [0, 1] contribute zero (the clamp is flat there).
     """
     z = x @ net.b.T + net.c
     sig = np.asarray(net.activation.f(z), float)
     pred = sig @ net.a
+    risk = float(np.mean(truncated_loss(pred, y)))
     active = (pred >= 0.0) & (pred <= 1.0)
     err = (np.clip(pred, 0.0, 1.0) - y) * active / x.shape[0]
     da = err @ sig
     weighted = (err[:, None] * np.asarray(net.activation.f1(z), float)) * net.a
     db = weighted.T @ x
     dc = weighted.sum(axis=0)
-    return da, db, dc
+    return risk, da, db, dc
 
 
 def gradient(net: TwoLayerNet, data: Dataset, lam: float):
@@ -80,7 +82,7 @@ def gradient(net: TwoLayerNet, data: Dataset, lam: float):
     """
     if data.n == 0:
         raise EmptyDataset("gradient on an empty sample")
-    da, db, dc = _risk_gradient(net, data.inputs, data.targets)
+    _, da, db, dc = _risk_gradient(net, data.inputs, data.targets)
     if lam != 0.0:
         da = da + lam * np.sign(net.a) * unit_weights(net.b, net.c)
         db = db + lam * (np.abs(net.a)[:, None] * np.sign(net.b))
@@ -107,38 +109,46 @@ def _soft_threshold(v, t):
 def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
     """Seeded descent on the regularized objective.
 
-    Returns (best net visited, trace of J after every step). The proximal
-    update on a makes lam * (||b_k||_1 + |c_k| + 1) an exact shrinkage
-    threshold; b and c take plain subgradient steps.
+    Returns (best net visited, trace of J): the trace holds steps + 1
+    values, J at the initial point and after every step. Each iterate is
+    evaluated once on the full data; with full batches that same pass
+    gives the gradient. The proximal update on a makes
+    lam * (||b_k||_1 + |c_k| + 1) an exact shrinkage threshold; b and c
+    take plain subgradient steps.
     """
     if data.n == 0:
         raise EmptyDataset("cannot fit an empty sample")
-    a = init.a.copy()
-    b = init.b.copy()
-    c = init.c.copy()
-    act = init.activation
+    if init.input_dim != data.d:
+        raise DimMismatch(f"expected inputs of dimension {init.input_dim}, got {data.d}")
+    full = cfg.batch is None or cfg.batch >= data.n
     rng = make_rng(cfg.seed)
     s = cfg.step_size
-
-    def current():
-        return TwoLayerNet(a, b, c, act)
-
-    trace = [objective(init, data, cfg.lam)]
-    best_j = trace[0]
-    best = (a.copy(), b.copy(), c.copy())
     order = np.arange(data.n)
     cursor = 0
-    for _ in range(cfg.steps):
-        if cfg.batch is None or cfg.batch >= data.n:
-            xb, yb = data.inputs, data.targets
+    net = best = init
+    trace = []
+    for k in range(cfg.steps + 1):
+        stepping = k < cfg.steps
+        if full and stepping:
+            risk, da, db, dc = _risk_gradient(net, data.inputs, data.targets)
         else:
+            risk = empirical_risk(net, data)
+        j = risk + cfg.lam * modified_path_norm(net)
+        if k > 0 and not np.isfinite(j):
+            raise Diverged(f"objective became {j} during training")
+        if k == 0 or j < best_j:
+            best, best_j = net, j
+        trace.append(j)
+        if not stepping:
+            break
+        if not full:
             if cursor + cfg.batch > data.n:
                 rng.shuffle(order)
                 cursor = 0
             take = order[cursor : cursor + cfg.batch]
             cursor += cfg.batch
-            xb, yb = data.inputs[take], data.targets[take]
-        da, db, dc = _risk_gradient(current(), xb, yb)
+            _, da, db, dc = _risk_gradient(net, data.inputs[take], data.targets[take])
+        a, b, c = net.a, net.b, net.c
         if cfg.lam != 0.0:
             a_abs = np.abs(a)
             db = db + cfg.lam * (a_abs[:, None] * np.sign(b))
@@ -147,16 +157,8 @@ def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
             a = _soft_threshold(a - s * da, thresholds)
         else:
             a = a - s * da
-        b = b - s * db
-        c = c - s * dc
-        j = objective(current(), data, cfg.lam)
-        if not np.isfinite(j):
-            raise Diverged(f"objective became {j} during training")
-        trace.append(j)
-        if j < best_j:
-            best_j = j
-            best = (a.copy(), b.copy(), c.copy())
-    return TwoLayerNet(*best, act), np.array(trace)
+        net = TwoLayerNet(a, b - s * db, c - s * dc, net.activation)
+    return best, np.array(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import activations as act_mod
 from .activations import Activation
-from .errors import DimMismatch
+from .errors import DimMismatch, OutOfRange
 from .relu1d import approximate_activation
 from .rng import make_rng
 
@@ -168,9 +168,8 @@ class DiscreteBarronRep:
 
     def function(self, act: Activation, x) -> np.ndarray:
         """Exact target values, no sampling."""
-        x = np.atleast_2d(np.asarray(x, float))
-        z = x @ self.ws[:, :-1].T + self.ws[:, -1]
-        return np.asarray(act.f(z), float) @ (self.probs * self.coeffs)
+        net = TwoLayerNet(self.probs * self.coeffs, self.ws[:, :-1], self.ws[:, -1], act)
+        return eval_two_layer(net, np.atleast_2d(np.asarray(x, float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +222,9 @@ class Dataset:
         if x.shape[0] != y.size:
             raise DimMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
         if not (np.abs(x) <= 1.0 + 1e-12).all():
-            raise ValueError("inputs must lie in [-1, 1]")
+            raise OutOfRange("inputs must lie in [-1, 1]")
         if not ((y >= -1e-12) & (y <= 1.0 + 1e-12)).all():
-            raise ValueError("targets must lie in [0, 1]")
+            raise OutOfRange("targets must lie in [0, 1]")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
 

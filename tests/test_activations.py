@@ -1,7 +1,9 @@
 """Activation norms against closed forms, plus the error paths."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +136,12 @@ def test_inf_g_affine_interior_minimum():
     x_star, g_star = A.inf_g(_affine(2.0, 1.0))
     assert g_star == pytest.approx(5.0, abs=1e-6)
     assert -0.5 - 1e-6 <= x_star <= 1e-6
+
+
+def test_inf_g_refines_between_tied_grid_points():
+    # the identity's g(x) = 2|x| + 2 is equal at the two grid points around 0
+    g_star = A.gamma(_affine(1.0, 0.0))
+    assert 2.0 <= g_star <= 2.0 + 1e-6
 
 
 @pytest.mark.parametrize("act", catalog(), ids=lambda a: a.label)
@@ -291,8 +299,17 @@ def test_one_quadrature_per_activation(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(A, "gamma0", counting)
-    act = swish.__wrapped__(1.25)  # a new object, so no cache holds it yet
+    act = swish(1.25)
     A.gamma_parts(act)
     approximate_activation(act, 1e-1)
     A.gamma(act)
     assert len(calls) == 1
+
+
+def test_gamma_memo_dies_with_its_activation():
+    act = swish(1.25)
+    A.gamma(act)
+    ref = weakref.ref(act)
+    del act
+    gc.collect()
+    assert ref() is None

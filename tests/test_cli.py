@@ -271,6 +271,8 @@ TRAIN_CSV = ["train", "--data", "{data}", "--width", "2", "--steps", "1"]
     (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--delta", "0"], None),
     (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--lam-mult", "nan"], None),
     (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--require", "2"], None),
+    (["apriori", "--activation", "tanh", "--seeds", "1", "--n", "8", "--m", "2", "--steps", "2"],
+     None),
     (["gamma-table", "--tol", "-1"], None),
     (["rad-check", "--budget", "nan"], None),
     (["rad-check", "--family", "resnet", "--gamma", "-1"], None),

@@ -1,5 +1,7 @@
 """Regularized training: losses, gradients, descent, regularization path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from pathnorm import activations as A
 from pathnorm.activations import relu, sigmoid
 from pathnorm.bounds import lambda_n_two_layer
-from pathnorm.errors import Diverged, EmptyDataset
+from pathnorm.errors import DimMismatch, Diverged, EmptyDataset
 from pathnorm.rng import make_rng
 from pathnorm.train import (
     TrainConfig,
@@ -140,6 +142,31 @@ def test_fit_is_deterministic():
     assert np.array_equal(net1.a, net2.a)
     assert np.array_equal(net1.b, net2.b)
     assert np.array_equal(net1.c, net2.c)
+
+
+def test_full_batch_fit_evaluates_each_iterate_once():
+    sig = sigmoid()
+    calls = []
+
+    def counting_f(x):
+        calls.append(x)
+        return sig.f(x)
+
+    act = dataclasses.replace(sig, f=counting_f)
+    data = atom_dataset(6)
+    init = init_two_layer(2, 8, act, seed=6)
+    for steps in (1, 10):
+        calls.clear()
+        _, trace = fit(data, TrainConfig(steps=steps, step_size=0.1, lam=0.01), init)
+        assert trace.size == steps + 1
+        assert len(calls) == steps + 1
+
+
+def test_fit_rejects_mismatched_dimensions():
+    init = init_two_layer(3, 4, sigmoid())
+    for batch in (None, 2):
+        with pytest.raises(DimMismatch):
+            fit(atom_dataset(7, n=4), TrainConfig(steps=2, batch=batch), init)
 
 
 def test_fit_reduces_realizable_risk():
