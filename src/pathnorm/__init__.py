@@ -1,7 +1,7 @@
 """Path-based complexity norms for small neural networks.
 
 Submodules:
-    activations  scalar activations, gamma norms, Lipschitz bounds
+    activations  scalar activations, gamma norms, Lipschitz constant
     relu1d       certified one-dimensional ReLU approximants
     twolayer     two-layer nets, path norms, rewriting, integral reps
     resnet       residual nets, weighted path norms, embeddings

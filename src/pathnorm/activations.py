@@ -84,11 +84,6 @@ class GammaParts(NamedTuple):
     total: float
 
 
-class LipschitzBound(NamedTuple):
-    bound: float
-    empirical_sup: float
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -282,16 +277,13 @@ def catalog():
     return [make() for make in _FACTORIES.values()]
 
 
-_PARAM_ALIASES = {"lambda": "lam"}
-
-
 def make_activation(name: str, **params) -> Activation:
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ParseError(f"unknown activation {name!r}") from None
     try:
-        return factory(**{_PARAM_ALIASES.get(k, k): float(v) for k, v in params.items()})
+        return factory(**{k: float(v) for k, v in params.items()})
     except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameters for {name}: {exc}") from None
 
@@ -533,21 +525,3 @@ def lipschitz_constant(act: Activation) -> float:
     """Certified Lipschitz constant gamma + min(|slope_left|, |slope_right|)."""
     return gamma(act) + min(abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
 
-
-def lipschitz_bound(act: Activation) -> LipschitzBound:
-    """lipschitz_constant, with the empirical sup of |f'| over a wide grid
-    (plus the one-sided kink slopes) which the bound must dominate.
-    """
-    a = abs(act.asymptote_left[0])
-    c = abs(act.asymptote_right[0])
-    bound = lipschitz_constant(act)
-    xs = np.concatenate([
-        np.linspace(-40.0, 40.0, 100_001),
-        np.geomspace(40.0, 1e6, 64),
-        -np.geomspace(40.0, 1e6, 64),
-    ])
-    sup = float(np.max(np.abs(act.f1(xs))))
-    for d_left, d_right in act.one_sided_f1:
-        sup = max(sup, abs(d_left), abs(d_right))
-    sup = max(sup, a, c)
-    return LipschitzBound(bound, sup)

@@ -21,7 +21,7 @@ from . import activations as act_mod
 from . import bounds as bounds_mod
 from . import resnet as res_mod
 from .activations import by_name
-from .errors import NumericalError, ParseError, PathNormError, load_json
+from .errors import NumericalError, OutOfRange, ParseError, PathNormError, load_json
 from .relu1d import approximate_activation
 from .resnet import eval_resnet
 from .rng import make_rng
@@ -400,11 +400,15 @@ def cmd_apriori(args):
     act = by_name(args.activation)
     seeds = range(args.seed, args.seed + args.seeds)
 
-    report = apriori_experiment(
-        rep, act, args.d, args.n, args.m, seeds,
-        lam_multiplier=args.lam_mult, delta=args.delta,
-        steps=args.steps, step_size=args.step_size,
-    )
+    try:
+        report = apriori_experiment(
+            rep, act, args.d, args.n, args.m, seeds,
+            lam_multiplier=args.lam_mult, delta=args.delta,
+            steps=args.steps, step_size=args.step_size,
+        )
+    except OutOfRange as exc:  # the inputs are drawn in range, so the target left [0, 1]
+        raise OutOfRange(f"{exc}; the --atoms target ({args.atoms or 'default atom'}) "
+                         f"leaves it under --activation {args.activation}") from None
     rows = [{
         "seed": r.seed,
         "train_objective": r.train_objective,

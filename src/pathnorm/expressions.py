@@ -2,9 +2,9 @@
 
 Grammar: Python expression syntax restricted to the variable ``x``, numeric
 literals, the constants ``pi`` and ``e``, the operators ``+ - * / **`` and
-unary minus, and the functions exp, ln, log, abs, max, min, erf, sqrt,
-tanh, sign. Everything is evaluated with numpy so compiled callables accept
-scalars and arrays alike.
+unary minus, the functions exp, ln, log, abs, erf, sqrt, tanh, sign of one
+argument, and max, min of two. Everything is evaluated with numpy so compiled
+callables accept scalars and arrays alike.
 """
 
 import ast
@@ -75,14 +75,16 @@ def _build(node):
         fn = _FUNCTIONS.get(node.func.id)
         if fn is None:
             raise ExprError(f"unknown function {node.func.id!r}")
+        # every function is a numpy ufunc, so nin is its arity; a surplus
+        # argument would otherwise reach numpy as the `out` array
+        if len(node.args) != fn.nin:
+            raise ExprError(f"{node.func.id} takes {fn.nin} argument(s), got {len(node.args)}")
         args = [_build(a) for a in node.args]
-        if len(args) == 1:
+        if fn.nin == 1:
             (a0,) = args
             return lambda x: fn(a0(x))
-        if len(args) == 2:
-            a0, a1 = args
-            return lambda x: fn(a0(x), a1(x))
-        raise ExprError("functions take one or two arguments")
+        a0, a1 = args
+        return lambda x: fn(a0(x), a1(x))
     raise ExprError(f"syntax element {type(node).__name__} not allowed")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import activations as act_mod
 from .activations import Activation
 from .bounds import apriori_bound_two_layer, lambda_n_two_layer
-from .errors import DimMismatch, Diverged, EmptyDataset
+from .errors import DimMismatch, Diverged
 from .rng import make_rng
 from .twolayer import (
     Dataset,
@@ -47,8 +47,6 @@ def truncated_loss(pred, y):
 
 
 def empirical_risk(net: TwoLayerNet, data: Dataset) -> float:
-    if data.n == 0:
-        raise EmptyDataset("risk of an empty sample")
     return float(np.mean(truncated_loss(eval_two_layer(net, data.inputs), data.targets)))
 
 
@@ -80,8 +78,6 @@ def gradient(net: TwoLayerNet, data: Dataset, lam: float):
 
     sign(0) = 0 throughout, the standard subgradient choice.
     """
-    if data.n == 0:
-        raise EmptyDataset("gradient on an empty sample")
     _, da, db, dc = _risk_gradient(net, data.inputs, data.targets)
     if lam != 0.0:
         da = da + lam * np.sign(net.a) * unit_weights(net.b, net.c)
@@ -90,12 +86,12 @@ def gradient(net: TwoLayerNet, data: Dataset, lam: float):
     return da, db, dc
 
 
-def init_two_layer(d: int, m: int, act: Activation, seed: int = 0, scale: float = 0.1) -> TwoLayerNet:
+def init_two_layer(d: int, m: int, act: Activation, seed: int = 0) -> TwoLayerNet:
     # nonnegative output weights: initial predictions must not start below 0
     # for every sample, where the truncated loss has zero subgradient
     rng = make_rng(seed)
     return TwoLayerNet(
-        rng.uniform(0.0, scale, size=m) / m,
+        rng.uniform(0.0, 0.1, size=m) / m,
         rng.uniform(-1.0, 1.0, size=(m, d)),
         rng.uniform(-1.0, 1.0, size=m),
         act,
@@ -116,8 +112,6 @@ def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
     lam * (||b_k||_1 + |c_k| + 1) an exact shrinkage threshold; b and c
     take plain subgradient steps.
     """
-    if data.n == 0:
-        raise EmptyDataset("cannot fit an empty sample")
     if init.input_dim != data.d:
         raise DimMismatch(f"expected inputs of dimension {init.input_dim}, got {data.d}")
     full = cfg.batch is None or cfg.batch >= data.n

@@ -10,13 +10,12 @@ the norm and deviation guarantees that come with it.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import activations as act_mod
 from .activations import Activation
-from .errors import DimMismatch, OutOfRange
+from .errors import DimMismatch, EmptyDataset, OutOfRange
 from .relu1d import approximate_activation
 from .rng import make_rng
 
@@ -92,12 +91,11 @@ class RewriteReport:
     seed: int
 
 
-def rewrite_to_relu(
-    net: TwoLayerNet,
-    eps: float,
-    seed: int = 0,
-    n_check: int = 10_000,
-):
+# seeded uniform points in [-1, 1]^d on which rewrite_to_relu checks its deviation
+_N_CHECK = 10_000
+
+
+def rewrite_to_relu(net: TwoLayerNet, eps: float, seed: int = 0):
     """Replace the activation by a certified ReLU approximant.
 
     Each unit (a_k, b_k, c_k) composed with an approximant unit
@@ -107,7 +105,7 @@ def rewrite_to_relu(
         path_norm(out) <= (gamma(sigma) + eps) * modified_path_norm(net)
         |net - out|     <= eps * sum_k |a_k|   pointwise
 
-    the latter checked on n_check seeded uniform points in [-1, 1]^d.
+    the latter checked on 10,000 seeded uniform points in [-1, 1]^d.
     """
     g_net, cert = approximate_activation(net.activation, eps)
     alpha, beta, gam = g_net.units[:, 0], g_net.units[:, 1], g_net.units[:, 2]
@@ -119,7 +117,7 @@ def rewrite_to_relu(
     out = TwoLayerNet(new_a[keep], new_b[keep], new_c[keep], act_mod.relu())
 
     rng = make_rng(seed)
-    x_check = rng.uniform(-1.0, 1.0, size=(n_check, net.input_dim))
+    x_check = rng.uniform(-1.0, 1.0, size=(_N_CHECK, net.input_dim))
     dev = float(np.max(np.abs(eval_two_layer(net, x_check) - eval_two_layer(out, x_check))))
     report = RewriteReport(
         eps=eps,
@@ -128,7 +126,7 @@ def rewrite_to_relu(
         path_norm_bound=(cert.gamma_reference + eps) * modified_path_norm(net),
         deviation_bound=eps * float(np.sum(np.abs(net.a))),
         max_deviation=dev,
-        n_check_points=n_check,
+        n_check_points=_N_CHECK,
         seed=seed,
     )
     return out, report
@@ -158,51 +156,26 @@ class DiscreteBarronRep:
         object.__setattr__(self, "ws", w)
         object.__setattr__(self, "coeffs", a)
 
-    @property
-    def input_dim(self) -> int:
-        return self.ws.shape[1] - 1
-
-    def draw(self, rng: np.random.Generator, m: int):
-        idx = rng.choice(self.probs.size, size=m, p=self.probs)
-        return self.ws[idx], self.coeffs[idx]
-
     def function(self, act: Activation, x) -> np.ndarray:
         """Exact target values, no sampling."""
         net = TwoLayerNet(self.probs * self.coeffs, self.ws[:, :-1], self.ws[:, -1], act)
         return eval_two_layer(net, np.atleast_2d(np.asarray(x, float)))
 
 
-@dataclass(frozen=True, eq=False)
-class ParametricBarronRep:
-    """Representation given by a sampler of w and a coefficient rule a(w)."""
-
-    name: str
-    input_dim: int
-    sampler: Callable  # (rng, m) -> (m, d+1) array of w draws
-    coeff: Callable    # (m, d+1) array -> (m,) coefficients
-
-    def draw(self, rng: np.random.Generator, m: int):
-        w = np.atleast_2d(np.asarray(self.sampler(rng, m), float))
-        if w.shape != (m, self.input_dim + 1):
-            raise DimMismatch(f"sampler returned shape {w.shape}")
-        return w, np.asarray(self.coeff(w), float).ravel()
-
-
 def sample_from_barron(rep, m: int, act: Activation, seed: int = 0) -> TwoLayerNet:
-    """Monte-Carlo two-layer net (1/m) sum_i a(w_i) sigma(w_i . (x, 1))."""
+    """Monte-Carlo two-layer net (1/m) sum_i a(w_i) sigma(w_i . (x, 1)),
+    the atoms w_i drawn i.i.d. with probabilities rep.probs."""
     if m <= 0:
         raise ValueError("need at least one sample")
-    w, coeffs = rep.draw(make_rng(seed), m)
-    return TwoLayerNet(coeffs / m, w[:, :-1], w[:, -1], act)
+    idx = make_rng(seed).choice(rep.probs.size, size=m, p=rep.probs)
+    w = rep.ws[idx]
+    return TwoLayerNet(rep.coeffs[idx] / m, w[:, :-1], w[:, -1], act)
 
 
-def barron_norm_estimate(rep, n_mc: int = 65_536, seed: int = 0) -> float:
-    """sqrt(E[a(w)^2 (||w||_1 + 1)^2]), exact for atomic representations."""
-    if isinstance(rep, DiscreteBarronRep):
-        weights = (np.abs(rep.ws).sum(axis=1) + 1.0) ** 2
-        return float(np.sqrt(np.sum(rep.probs * rep.coeffs**2 * weights)))
-    w, coeffs = rep.draw(make_rng(seed), n_mc)
-    return float(np.sqrt(np.mean(coeffs**2 * (np.abs(w).sum(axis=1) + 1.0) ** 2)))
+def barron_norm_estimate(rep) -> float:
+    """sqrt(E[a(w)^2 (||w||_1 + 1)^2]), summed exactly over the atoms."""
+    weights = (np.abs(rep.ws).sum(axis=1) + 1.0) ** 2
+    return float(np.sqrt(np.sum(rep.probs * rep.coeffs**2 * weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +194,8 @@ class Dataset:
         y = np.asarray(self.targets, float).ravel()
         if x.shape[0] != y.size:
             raise DimMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
+        if y.size == 0:
+            raise EmptyDataset("a dataset needs at least one sample")
         if not (np.abs(x) <= 1.0 + 1e-12).all():
             raise OutOfRange("inputs must lie in [-1, 1]")
         if not ((y >= -1e-12) & (y <= 1.0 + 1e-12)).all():

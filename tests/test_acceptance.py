@@ -211,7 +211,7 @@ def test_criterion_05_rewrite_guarantee(verdict):
         net = TwoLayerNet(
             rng.normal(size=m), rng.normal(size=(m, d)), rng.normal(size=m), act
         )
-        out, rep = rewrite_to_relu(net, eps, seed=i, n_check=10_000)
+        out, rep = rewrite_to_relu(net, eps, seed=i)
         norm_ratio = path_norm(out) / ((gam + eps) * modified_path_norm(net))
         dev_ratio = rep.max_deviation / (eps * np.sum(np.abs(net.a)))
         worst_norm = max(worst_norm, norm_ratio)

@@ -175,24 +175,34 @@ def test_continuity_and_derivatives(act):
     assert np.allclose(fd2, np.asarray(act.f2(xs), float), rtol=1e-3, atol=1e-5)
 
 
+def _sampled_lipschitz_sup(act):
+    """Sup of |f'| over a wide grid, the one-sided kink slopes and the
+    asymptote slopes: a value the certified constant must dominate."""
+    xs = np.concatenate([
+        np.linspace(-40.0, 40.0, 100_001),
+        np.geomspace(40.0, 1e6, 64),
+        -np.geomspace(40.0, 1e6, 64),
+    ])
+    sup = float(np.max(np.abs(act.f1(xs))))
+    for d_left, d_right in act.one_sided_f1:
+        sup = max(sup, abs(d_left), abs(d_right))
+    return max(sup, abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
+
+
 def test_lipschitz_bounds():
-    lb = A.lipschitz_bound(relu())
-    assert lb.bound == pytest.approx(1.0, abs=1e-9)
-    assert lb.empirical_sup == pytest.approx(1.0, abs=1e-12)
+    assert A.lipschitz_constant(relu()) == pytest.approx(1.0, abs=1e-9)
+    assert _sampled_lipschitz_sup(relu()) == pytest.approx(1.0, abs=1e-12)
 
-    lb = A.lipschitz_bound(sigmoid())
-    assert lb.bound == pytest.approx(1.5, abs=1e-6)
-    assert lb.empirical_sup == pytest.approx(0.25, abs=1e-9)
+    assert A.lipschitz_constant(sigmoid()) == pytest.approx(1.5, abs=1e-6)
+    assert _sampled_lipschitz_sup(sigmoid()) == pytest.approx(0.25, abs=1e-9)
 
-    lb = A.lipschitz_bound(tanh())
-    assert lb.bound == pytest.approx(5.0, abs=1e-6)
-    assert lb.empirical_sup == pytest.approx(1.0, abs=1e-9)
+    assert A.lipschitz_constant(tanh()) == pytest.approx(5.0, abs=1e-6)
+    assert _sampled_lipschitz_sup(tanh()) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("act", catalog(), ids=lambda a: a.label)
 def test_lipschitz_dominates_empirical(act):
-    lb = A.lipschitz_bound(act)
-    assert lb.empirical_sup <= lb.bound * (1 + 1e-12)
+    assert _sampled_lipschitz_sup(act) <= A.lipschitz_constant(act) * (1 + 1e-12)
 
 
 def test_multiple_singular_points_rejected():
@@ -240,11 +250,12 @@ def test_by_name_parses_hyperparameters():
     act = by_name("elu:alpha=0.5")
     assert act.name == "elu"
     assert act.params == {"alpha": 0.5}
-    assert by_name("leaky_relu:lambda=0.25").params == {"lam": 0.25}
+    assert by_name("leaky_relu:lam=0.25").params == {"lam": 0.25}
     assert by_name("swish:beta=2").label == "swish:beta=2"
 
 
-@pytest.mark.parametrize("ref", ["nope", "elu:alpha", "elu:alpha=x", "sigmoid:badkey=1"])
+@pytest.mark.parametrize("ref", ["nope", "elu:alpha", "elu:alpha=x", "sigmoid:badkey=1",
+                                 "leaky_relu:lambda=0.25"])
 def test_by_name_rejects_malformed(ref):
     with pytest.raises(ParseError):
         by_name(ref)

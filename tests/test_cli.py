@@ -213,6 +213,13 @@ def test_apriori_quick(capsys):
     assert all(r["ok"] for r in rows)
 
 
+def test_apriori_target_out_of_range_names_flags(capsys):
+    code, _, err = run(capsys, "apriori", "--activation", "tanh", "--seeds", "1", "--n", "8",
+                       "--m", "2", "--steps", "2")
+    assert code == 2
+    assert "--atoms" in err and "--activation tanh" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "approx-1d")[0] == 2  # missing required flags
@@ -225,9 +232,13 @@ def test_parse_error_exit(capsys, tmp_path):
 
 
 TRAIN_CSV = ["train", "--data", "{data}", "--width", "2", "--steps", "1"]
+GAMMA_FILE = ["gamma-table", "--only", "file:{data}"]
+TANH_SPEC = {"f": "tanh(x)", "f1": "1 - tanh(x)**2", "f2": "-2*tanh(x)*(1 - tanh(x)**2)",
+             "asymptote_left": [0, -1], "asymptote_right": [0, 1]}
 
 
-@pytest.mark.parametrize("argv,csv_text", [
+# data_text is written to the file {data}
+@pytest.mark.parametrize("argv,data_text", [
     (["approx-1d", "--activation", "sigmoid", "--eps", "0"], None),
     (["approx-1d", "--activation", "sigmoid", "--eps", "nan"], None),
     (["rewrite", "--model", "{model}", "--eps", "-1"], None),
@@ -287,10 +298,13 @@ TRAIN_CSV = ["train", "--data", "{data}", "--width", "2", "--steps", "1"]
     (["rad-check", "--n", "1e12"], None),
     (["apriori", "--n", "1e12", "--seeds", "1"], None),
     (["approx-1d", "--activation", "file:{deep}", "--eps", "0.1"], None),
+    (GAMMA_FILE, json.dumps({**TANH_SPEC, "f": "tanh(x, 1)"})),
+    (GAMMA_FILE, json.dumps({**TANH_SPEC, "f2": "0*exp(x, x) + -2*tanh(x)*(1 - tanh(x)**2)"})),
+    (GAMMA_FILE, json.dumps({**TANH_SPEC, "f": "max(x)"})),
 ])
-def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, csv_text):
+def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, data_text):
     data = tmp_path / "data.csv"
-    data.write_text(csv_text or "")
+    data.write_text(data_text or "")
     deep = tmp_path / "deep.json"
     deep.write_text(json.dumps({
         "f": "-" * 5000 + "x", "f1": "1", "f2": "0",
@@ -434,23 +448,26 @@ JSON = st.recursive(
 )
 
 
-def expressions(atoms, binops, functions):
+def expressions(atoms, binops, calls):
+    """Expressions over atoms; calls are format templates of one or two
+    subexpressions, such as "exp({})" or "max({}, {})"."""
     return st.recursive(
         st.sampled_from(atoms),
         lambda inner: (
             st.builds("({}){}({})".format, inner, st.sampled_from(binops), inner)
-            | st.builds("{}({})".format, st.sampled_from(functions), inner)
-            | st.builds("max({}, {})".format, inner, inner)
+            | st.builds(str.format, st.sampled_from(calls), inner, inner)
         ),
         max_leaves=5,
     )
 
 
-GOOD_EXPRESSIONS = expressions(["x", "0", "2.5", "pi", "e", "1e308"], ["+", "-", "*", "/", "**"],
-                               ["exp", "ln", "sqrt", "tanh", "abs", "erf", "sign"])
+GOOD_EXPRESSIONS = expressions(
+    ["x", "0", "2.5", "pi", "e", "1e308"], ["+", "-", "*", "/", "**"],
+    [f"{fn}({{}})" for fn in ("exp", "ln", "sqrt", "tanh", "abs", "erf", "sign")] + ["max({}, {})"])
 ANY_EXPRESSIONS = (
     expressions(["x", "0", "y", "'s'", "", "-" * 5000 + "x"], ["+", "**", "%", "<"],
-                ["exp", "sin", "__import__"])
+                ["exp({})", "sin({})", "__import__({})", "max({}, {})",
+                 "exp({}, {})", "tanh({}, {})", "max({})"])
     | st.text(max_size=8) | FINITE | ODD
 )
 
@@ -468,7 +485,7 @@ def custom_specs(expr, number):
 GOOD_ACTIVATIONS = (
     st.sampled_from([{"name": "relu", "params": {}}, {"name": "tanh"},
                      {"name": "swish", "params": {"beta": 2.0}},
-                     {"name": "leaky_relu", "params": {"lambda": 0.2}}])
+                     {"name": "leaky_relu", "params": {"lam": 0.2}}])
     | custom_specs(GOOD_EXPRESSIONS, FINITE)
 )
 ODD_ACTIVATIONS = (

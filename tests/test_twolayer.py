@@ -12,7 +12,6 @@ from pathnorm.rng import make_rng
 from pathnorm.twolayer import (
     Dataset,
     DiscreteBarronRep,
-    ParametricBarronRep,
     TwoLayerNet,
     barron_norm_estimate,
     c_sigma,
@@ -89,7 +88,7 @@ def test_rewrite_guarantees():
         sigmoid(),
     )
     eps = 1e-2
-    out, rep = rewrite_to_relu(net, eps, seed=11, n_check=2000)
+    out, rep = rewrite_to_relu(net, eps, seed=11)
     assert out.activation.name == "relu"
     assert rep.max_deviation <= rep.deviation_bound
     assert rep.path_norm_rewritten <= rep.path_norm_bound
@@ -100,7 +99,7 @@ def test_rewrite_guarantees():
 
 def test_rewrite_relu_is_identity():
     net = relu_net([2, -1], [[1, -1], [0, 2]], [1, 0])
-    out, rep = rewrite_to_relu(net, 1e-3, n_check=500)
+    out, rep = rewrite_to_relu(net, 1e-3)
     assert rep.max_deviation == 0.0
     assert rep.path_norm_rewritten == pytest.approx(path_norm(net), rel=1e-15)
     assert np.array_equal(np.sort(out.a), np.sort(net.a))
@@ -135,17 +134,6 @@ def test_barron_estimate_single_atom():
 def test_barron_estimate_two_atoms():
     rep = DiscreteBarronRep([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
     assert barron_norm_estimate(rep) == pytest.approx(np.sqrt(2.5))
-
-
-def test_barron_estimate_parametric_constant():
-    w_row = np.array([1.0, 1.0, 1.0])
-    rep = ParametricBarronRep(
-        name="const",
-        input_dim=2,
-        sampler=lambda rng, m: np.tile(w_row, (m, 1)),
-        coeff=lambda w: np.full(w.shape[0], 2.0),
-    )
-    assert barron_norm_estimate(rep, n_mc=128) == pytest.approx(8.0)
 
 
 def test_barron_probs_validated():
