@@ -542,7 +542,9 @@ def main(argv=None) -> int:
         return USAGE if exc.code else OK
     # the one place that writes a report and maps the outcome to an exit code
     try:
-        rows, ok = args.fn(args)
+        # an overflow or nan shows up in the report and exits 3, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, ok = args.fn(args)
         bad = [k for row in rows for k, v in row.items()
                if isinstance(v, float) and not math.isfinite(v)]
         if bad:

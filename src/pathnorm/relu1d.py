@@ -3,7 +3,7 @@
 approximate_activation builds, for a target activation f and accuracy eps,
 a net g(t) = sum_k alpha_k relu(beta_k t + gamma_k) with
 
-    sup_t |f(t) - g(t)| <= eps        (measured on a dense wide grid)
+    sup_t |f(t) - g(t)| <= eps        (certified over the whole line)
     sum_k |alpha_k| (|beta_k| + |gamma_k|) <= gamma(f) + eps
 
 The construction anchors at a point x_eps where the linear-part cost g(x_eps)
@@ -11,6 +11,13 @@ is within eps of its infimum (the singular point itself for one-kink
 activations), interpolates the curved remainder on [x_eps - T, x_eps + T]
 with uniform knots and slope-increment units, and continues with the exact
 asymptote slopes outside the window.
+
+The sup is not sampled. g is linear between its kinks, so inside the window
+the sup is exact: the largest error at the kinks, at the zeros of f'' and
+at the one extremum between each pair. Outside the window it follows from
+f'' keeping one sign there (which the window search probes), and is exact
+as well. Both steps hold only if f1 and f2 are f's derivatives, which
+gamma already requires.
 """
 
 from dataclasses import dataclass
@@ -46,6 +53,10 @@ class ReluNet1D:
 
 @dataclass(frozen=True)
 class ApproxCertificate:
+    """sup_error_measured is the certified sup over the whole line (see the
+    module docstring); grid_points counts the points where the accepted
+    net's error was evaluated to certify it."""
+
     epsilon_requested: float
     sup_error_measured: float
     path_norm: float
@@ -139,7 +150,8 @@ def _window_halfwidth(act: Activation, x_eps: float, eps: float) -> float:
             abs(float(act.f(lo)) - (a * lo + b)),
         )
         tails = act_mod.tail_weight_right(act, hi) + act_mod.tail_weight_left(act, -lo)
-        if asym_err <= eps / 8.0 and tails <= eps / 32.0:
+        # _certified_sup needs f'' of one sign beyond both edges
+        if asym_err <= eps / 8.0 and tails <= eps / 32.0 and act_mod._sign_stable(act, min(hi, -lo)):
             return t
         t *= 2.0
     raise NoConvergence(f"no window captures the tails of {act.label} at eps={eps:g}")
@@ -204,10 +216,41 @@ def _build_net(act, x_eps, d_left, d_right, t_half, n_panels):
     return ReluNet1D(np.array(units, float).reshape(-1, 3))
 
 
-def _validation_grid(x_eps, t_half):
-    core = np.linspace(x_eps - 2.0 * t_half, x_eps + 2.0 * t_half, 2**20)
-    far = np.geomspace(max(abs(x_eps) + 2.0 * t_half, 1.0), 1e6, 32)
-    return np.concatenate([core, far, -far])
+def _certified_sup(act, net, breaks):
+    """sup over the whole line of |f - net|, and the number of points where
+    the error was evaluated.
+
+    breaks hold the window's ends and points inside it between which f''
+    keeps one sign. Cut there and at the net's kinks, the window falls into
+    pieces on which the net is linear and f' monotone, so |f - net| peaks at
+    a piece end or at the one root of f'(t) = slope, which bisection on f'
+    finds, evaluated strictly inside each piece. Beyond the outermost point
+    R the net runs parallel to the asymptote line l. With f'' of one sign
+    out there, f - l shrinks monotonically to 0, so the error moves
+    monotonically from f(R) - net(R) to l(R) - net(R); likewise on the left.
+    """
+    u = net.units
+    turns = u[:, 1] != 0.0
+    xs = np.unique(np.concatenate([breaks, -u[turns, 2] / u[turns, 1]]))
+    net_xs = eval_relu1d(net, xs)
+    err = np.asarray(act.f(xs), float) - net_xs
+    lo, hi = xs[:-1], xs[1:]
+    slope = np.diff(net_xs) / (hi - lo)
+    convex = np.asarray(act.f2(0.5 * (lo + hi)), float) > 0.0
+    # the error's peak is flat: a position off by 2^-32 of the piece moves
+    # its value by about 2^-62 of the piece's error
+    for _ in range(32):
+        mid = 0.5 * (lo + hi)
+        right = (np.asarray(act.f1(mid), float) < slope) == convex
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    roots = 0.5 * (lo + hi)
+    err_roots = np.asarray(act.f(roots), float) - eval_relu1d(net, roots)
+    a, b = act.asymptote_left
+    c, d = act.asymptote_right
+    far_left = a * xs[0] + b - net_xs[0]
+    far_right = c * xs[-1] + d - net_xs[-1]
+    sup = max(np.max(np.abs(err)), np.max(np.abs(err_roots)), abs(far_left), abs(far_right))
+    return float(sup), xs.size + roots.size
 
 
 def approximate_activation(act: Activation, eps: float):
@@ -218,13 +261,15 @@ def approximate_activation(act: Activation, eps: float):
 
     x_eps, d_left, d_right = _pick_anchor(act, eps)
     t_half = _window_halfwidth(act, x_eps, eps)
-    grid = _validation_grid(x_eps, t_half)
-    f_grid = np.asarray(act.f(grid), float)
+    lo, hi = x_eps - t_half, x_eps + t_half
+    ends = sorted({lo, hi, *(p for p in act.singular_points if lo < p < hi)})
+    breaks = ends + [z for a, b in zip(ends[:-1], ends[1:])
+                     for z in act_mod._curvature_zeros(act, a, b)]
 
     n_panels = 64
     while n_panels <= _MAX_KNOTS:
         net = _build_net(act, x_eps, d_left, d_right, t_half, n_panels)
-        err = float(np.max(np.abs(f_grid - eval_relu1d(net, grid))))
+        err, points = _certified_sup(act, net, breaks)
         norm = path_norm_1d(net)
         if err <= eps and norm <= gamma_ref + eps:
             cert = ApproxCertificate(
@@ -235,7 +280,7 @@ def approximate_activation(act: Activation, eps: float):
                 anchor=x_eps,
                 window_halfwidth=t_half,
                 partition_size=n_panels,
-                grid_points=grid.size,
+                grid_points=points,
             )
             return net, cert
         n_panels *= 2

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathnorm import cli
-from pathnorm.activations import sigmoid
+from pathnorm.activations import relu, sigmoid
 from pathnorm.rng import make_rng
 from pathnorm.serialize import load_model, save_model
 from pathnorm.resnet import ResNet
@@ -344,6 +345,18 @@ def test_non_finite_report_is_numeric_failure(capsys, argv):
     assert code == 3
     assert "numeric failure" in err
     assert out == ""
+
+
+def test_overflow_exits_3_without_numpy_warnings(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    save_model(TwoLayerNet([1e308], [[1e308]], [1e308], relu()), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "norm", "--model", str(path))
+    assert code == 3
+    assert "numeric failure" in err and "RuntimeWarning" not in err
+    assert out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_integer_flags_accept_scientific(capsys):

@@ -1,5 +1,7 @@
 """Certified one-dimensional ReLU approximants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,86 @@ def test_wide_grid_error_and_far_behavior(act):
     slope_left = (eval_relu1d(net, -2e6) - eval_relu1d(net, -1e6)) / -1e6
     assert slope_right == pytest.approx(act.asymptote_right[0], abs=1e-12)
     assert slope_left == pytest.approx(act.asymptote_left[0], abs=1e-12)
+
+
+# partition sizes the construction reached when a 2^20-point grid judged each
+# candidate; a certified sup never below that grid's can only stop later
+BUILTIN_PARTITIONS = {
+    "relu": (64, 64, 64),
+    "leaky_relu:lam=0.1": (64, 64, 64),
+    "sigmoid": (64, 64, 128),
+    "tanh": (64, 64, 256),
+    "elu:alpha=1": (64, 128, 512),
+    "gelu": (64, 64, 256),
+    "softplus": (64, 64, 256),
+    "swish:beta=1": (64, 128, 256),
+}
+ORACLE_EPS = (1e-1, 1e-2, 1e-3)
+
+
+def dense_grid_error(act, net, cert):
+    """Max |f - net| on 2^16 points over twice the window, 512 per panel
+    inside it, and far out to 1e6. With 512 points a panel, the grid misses
+    a panel's peak error by about (1/512)^2 relative; 2^16 points alone
+    miss it by up to 1e-3 at 512 panels."""
+    x, t, n = cert.anchor, cert.window_halfwidth, cert.partition_size
+    far = np.geomspace(max(abs(x) + 2.0 * t, 1.0), 1e6, 32)
+    grid = np.concatenate([np.linspace(x - 2.0 * t, x + 2.0 * t, 2**16),
+                           np.linspace(x - t, x + t, 1024 * n + 1), far, -far])
+    return float(np.max(np.abs(np.asarray(act.f(grid), float) - eval_relu1d(net, grid))))
+
+
+def tanh_file(tmp_path, p=1.3, q=0.7):
+    t = f"tanh({q!r}*x)"
+    spec = {"name": "expr_tanh", "f": f"{p!r}*{t}", "f1": f"{p * q!r}*(1-{t}**2)",
+            "f2": f"{-2 * p * q * q!r}*{t}*(1-{t}**2)",
+            "asymptote_left": [0.0, -p], "asymptote_right": [0.0, p]}
+    path = tmp_path / "tanh.json"
+    path.write_text(json.dumps(spec))
+    return A.by_name(f"file:{path}")
+
+
+@pytest.mark.parametrize("eps_index", range(len(ORACLE_EPS)))
+@pytest.mark.parametrize("ref", [*BUILTIN_PARTITIONS, "swish:beta=0.6", "swish:beta=1.7",
+                                 "elu:alpha=0.55", "elu:alpha=1.7", "file:tanh"])
+def test_certified_sup_against_dense_grid(ref, eps_index, tmp_path):
+    act = tanh_file(tmp_path) if ref == "file:tanh" else A.by_name(ref)
+    eps = ORACLE_EPS[eps_index]
+    net, cert = approximate_activation(act, eps)
+    oracle = dense_grid_error(act, net, cert)
+    assert oracle <= cert.sup_error_measured <= eps
+    assert cert.sup_error_measured == pytest.approx(oracle, rel=1e-5)
+    if ref in BUILTIN_PARTITIONS:
+        assert cert.partition_size == BUILTIN_PARTITIONS[ref][eps_index]
+
+
+def test_certified_sup_finds_the_peak_inside_a_panel():
+    # a 64-panel sigmoid net on [-16, 16] anchored at 0 interpolates f at
+    # its knots, so the error there is rounding and the sup sits at the
+    # roots of f'(t) = slope inside the panels
+    act = sigmoid()
+    slope = float(act.f1(0.0))
+    net = relu1d._build_net(act, 0.0, slope, slope, 16.0, 64)
+    sup, _ = relu1d._certified_sup(act, net, [-16.0, 0.0, 16.0])
+    knots = np.linspace(-16.0, 16.0, 129)
+    assert np.max(np.abs(act.f(knots) - eval_relu1d(net, knots))) < 1e-9 * sup
+    grid = np.linspace(-16.0, 16.0, 2**16 + 1)
+    dense = float(np.max(np.abs(act.f(grid) - eval_relu1d(net, grid))))
+    assert dense <= sup
+    assert sup == pytest.approx(dense, rel=1e-5)
+
+
+def test_certified_sup_covers_the_tails():
+    # on [-4, 4] sigmoid is still 0.018 from its asymptotes, so the error
+    # beyond the window, which tends to l(R) - net(R), is the sup
+    act = sigmoid()
+    slope = float(act.f1(0.0))
+    net = relu1d._build_net(act, 0.0, slope, slope, 4.0, 64)
+    sup, _ = relu1d._certified_sup(act, net, [-4.0, 0.0, 4.0])
+    far = np.array([-1e6, 1e6])
+    assert sup == pytest.approx(np.max(np.abs(act.f(far) - eval_relu1d(net, far))), rel=1e-9)
+    grid = np.linspace(-64.0, 64.0, 2**16 + 1)
+    assert np.max(np.abs(act.f(grid) - eval_relu1d(net, grid))) <= sup
 
 
 def test_interpolation_exact_at_partition_knots():
