@@ -97,8 +97,8 @@ def model_from_dict(obj):
 
 def save_model(model, path) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+        # one write: json.dump with an indent writes once per token
+        fh.write(json.dumps(model_to_dict(model), indent=1) + "\n")
 
 
 def load_model(path):

@@ -48,14 +48,30 @@ class TwoLayerNet:
         return self.b.shape[1]
 
 
+# pre-activations per row block of eval_two_layer: 512 KiB of float64, so the
+# block's temporaries stay in cache however many points are evaluated
+_BLOCK = 1 << 16
+
+
 def eval_two_layer(net: TwoLayerNet, x):
+    """f(x) for one point (a float) or a batch of rows (an array).
+
+    The batch is evaluated in consecutive blocks of whole rows, each about
+    _BLOCK pre-activations. The last block takes the remainder, so no block
+    is shorter than the others unless the whole batch is.
+    """
     x = np.asarray(x, float)
     single = x.ndim == 1
     batch = np.atleast_2d(x)
     if batch.shape[1] != net.input_dim:
         raise DimMismatch(f"expected inputs of dimension {net.input_dim}, got {batch.shape[1]}")
-    z = batch @ net.b.T + net.c
-    out = np.asarray(net.activation.f(z), float) @ net.a
+    n = batch.shape[0]
+    rows = max(64, _BLOCK // max(net.width, 1) // 64 * 64)
+    starts = range(0, max(n - rows, 0) + 1, rows)
+    out = np.empty(n)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        z = batch[lo:hi] @ net.b.T + net.c
+        out[lo:hi] = np.asarray(net.activation.f(z), float) @ net.a
     return float(out[0]) if single else out
 
 

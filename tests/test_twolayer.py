@@ -1,9 +1,12 @@
 """Two-layer nets: evaluation, norms, rewriting, Barron representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from pathnorm.activations import relu, sigmoid, tanh
 from pathnorm.errors import DimMismatch
@@ -51,6 +54,27 @@ def test_eval_batch_matches_single():
     assert batch.shape == (5,)
     for xi, yi in zip(xs, batch):
         assert eval_two_layer(net, xi) == pytest.approx(yi, rel=1e-15)
+
+
+@pytest.mark.parametrize("act", [relu(), sigmoid()], ids=["relu", "sigmoid"])
+@pytest.mark.parametrize(
+    ("width", "rows"),
+    [(w, n) for w in (0, 1, 64, 1023, 1025) for n in (0, 63, 65, 4097)] + [(64, 20_003)],
+)
+def test_eval_blocks_match_one_product(act, width, rows):
+    # Blocked and one-shot products may sum in another order (last-bit
+    # differences on some shapes), hence a tolerance and not equality.
+    rng = make_rng(width * 100_003 + rows)
+    a, b, c = rng.normal(size=width), rng.normal(size=(width, 3)), rng.normal(size=width)
+    net = TwoLayerNet(a, b, c, act)
+    x = rng.uniform(-1.0, 1.0, size=(rows, 3))
+    want = np.asarray(act.f(x @ net.b.T + net.c), float) @ net.a
+    got = eval_two_layer(net, x)
+    assert got.shape == (rows,)
+    tol = 1e-12 * np.abs(net.a).sum()
+    assert_allclose(got, want, rtol=1e-12, atol=tol)
+    if rows:
+        assert eval_two_layer(net, x[-1]) == pytest.approx(want[-1], rel=1e-12, abs=tol)
 
 
 def test_path_norm_example():
@@ -103,6 +127,22 @@ def test_rewrite_relu_is_identity():
     assert rep.max_deviation == 0.0
     assert rep.path_norm_rewritten == pytest.approx(path_norm(net), rel=1e-15)
     assert np.array_equal(np.sort(out.a), np.sort(net.a))
+
+
+def test_rewrite_check_memory_stays_small():
+    # 896 ReLU units checked on 10,000 points: one product would hold two
+    # 10,000 x 896 temporaries (143 MB); row blocks keep the peak near 2 MB.
+    rng = make_rng(8)
+    net = TwoLayerNet(rng.normal(size=8), rng.normal(size=(8, 4)), rng.normal(size=8), tanh())
+    tracemalloc.start()
+    try:
+        out, rep = rewrite_to_relu(net, 1e-2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.width == 896
+    assert rep.max_deviation <= rep.deviation_bound
+    assert peak < 8e6
 
 
 coef = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
