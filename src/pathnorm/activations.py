@@ -10,8 +10,8 @@ and, when f is smooth except at a single point x0,
 
     gamma(f)  = gamma0(f) + |f(x0)| + (1+|x0|) (|f'+(x0)| + |f'-(x0)|)
 
-with gamma0 taken over the two smooth pieces. Activations with more than
-one singular point are rejected rather than extrapolated.
+with gamma0 taken over the two smooth pieces. An activation has at most
+one kink; a custom spec that declares more is rejected when it loads.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .errors import MultiSingular, NoAsymptote, NonIntegrable, ParseError, load_json
+from .errors import NoAsymptote, NonIntegrable, ParseError, load_json
 from .expressions import ExprError, compile_expr
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -34,9 +34,8 @@ _MAX_WINDOW = 2.0**42
 class Activation:
     """A scalar activation with explicit derivative and asymptote data.
 
-    f, f1, f2 accept floats or numpy arrays. At a singular point f1/f2
-    return one arbitrary one-sided value; the true one-sided derivatives
-    live in one_sided_f1, aligned with singular_points.
+    f, f1, f2 accept floats or numpy arrays. At the kink f1/f2 return one
+    arbitrary one-sided value; the true one-sided derivatives live in kink.
     """
 
     name: str
@@ -45,8 +44,7 @@ class Activation:
     f2: Callable
     asymptote_left: tuple   # (slope, intercept) as x -> -inf
     asymptote_right: tuple  # (slope, intercept) as x -> +inf
-    singular_points: tuple = ()
-    one_sided_f1: tuple = ()
+    kink: tuple = ()  # (x0, f'(x0-), f'(x0+)), or () for a smooth f
     closed_form_gamma: Optional[float] = None
     params: dict = field(default_factory=dict)
     spec: Optional[dict] = None  # the JSON object a custom activation was built from
@@ -64,14 +62,9 @@ class Activation:
     @cached_property
     def _gamma(self) -> "GammaParts":
         # gamma_parts' memo: it lives exactly as long as this activation
-        if len(self.singular_points) > 1:
-            raise MultiSingular(
-                f"{self.label} has {len(self.singular_points)} singular points; only one is supported"
-            )
         g0 = gamma0(self)
-        if self.singular_points:
-            x0 = self.singular_points[0]
-            d_left, d_right = self.one_sided_f1[0]
+        if self.kink:
+            x0, d_left, d_right = self.kink
             linear = abs(float(self.f(x0))) + (1.0 + abs(x0)) * (abs(d_right) + abs(d_left))
         else:
             _, linear = inf_g(self)
@@ -96,8 +89,7 @@ def relu() -> Activation:
         f2=lambda x: np.zeros_like(np.asarray(x, float)),
         asymptote_left=(0.0, 0.0),
         asymptote_right=(1.0, 0.0),
-        singular_points=(0.0,),
-        one_sided_f1=((0.0, 1.0),),
+        kink=(0.0, 0.0, 1.0),
         closed_form_gamma=1.0,
     )
 
@@ -114,8 +106,7 @@ def leaky_relu(lam: float = 0.1) -> Activation:
         f2=lambda x: np.zeros_like(np.asarray(x, float)),
         asymptote_left=(left, 0.0),
         asymptote_right=(right, 0.0),
-        singular_points=(0.0,),
-        one_sided_f1=((left, right),),
+        kink=(0.0, left, right),
         closed_form_gamma=abs(lam) + 1.0,
         params={"lam": lam},
     )
@@ -178,8 +169,7 @@ def elu(alpha: float = 1.0) -> Activation:
         f2=f2,
         asymptote_left=(0.0, -alpha),
         asymptote_right=(1.0, 0.0),
-        singular_points=() if smooth else (0.0,),
-        one_sided_f1=() if smooth else ((alpha, 1.0),),
+        kink=() if smooth else (0.0, alpha, 1.0),
         closed_form_gamma=3.0 if smooth else 3.0 * abs(alpha) + 1.0,
         params={"alpha": alpha},
     )
@@ -328,6 +318,8 @@ def custom_activation(raw, source: str = "activation spec") -> Activation:
         raise ParseError(f"bad {source}: {exc}")
     if len(one_sided) != len(sing):
         raise ParseError("one_sided_f1 must align with singular_points")
+    if len(sing) > 1:
+        raise ParseError(f"{source} has {len(sing)} singular points; at most one is supported")
     return Activation(
         name=str(raw.get("name", "custom")),
         f=fns["f"],
@@ -335,8 +327,7 @@ def custom_activation(raw, source: str = "activation spec") -> Activation:
         f2=fns["f2"],
         asymptote_left=left,
         asymptote_right=right,
-        singular_points=sing,
-        one_sided_f1=one_sided,
+        kink=(sing[0], *one_sided[0]) if sing else (),
         closed_form_gamma=closed,
         spec=raw,
     )
@@ -358,14 +349,13 @@ def custom_activation(raw, source: str = "activation spec") -> Activation:
 # the closed forms that gamma-table checks.
 
 
-def tail_weight_right(act: Activation, x: float) -> float:
-    c, d = act.asymptote_right
-    return abs((c - d) - (float(act.f1(x)) * (x + 1.0) - float(act.f(x))))
-
-
-def tail_weight_left(act: Activation, x: float) -> float:
+def tail_weight(act: Activation, right: float, left: float) -> float:
+    """int |f''(x)| (|x|+1) dx over [right, inf) plus over (-inf, left],
+    for left <= 0 <= right and f'' of one sign on each tail."""
     a, b = act.asymptote_left
-    return abs(float(act.f1(-x)) * (x + 1.0) + float(act.f(-x)) - (a + b))
+    c, d = act.asymptote_right
+    return (abs((c - d) - (float(act.f1(right)) * (right + 1.0) - float(act.f(right))))
+            + abs(float(act.f1(left)) * (1.0 - left) + float(act.f(left)) - (a + b)))
 
 
 def _sign_stable(act: Activation, x: float) -> bool:
@@ -380,11 +370,11 @@ def _sign_stable(act: Activation, x: float) -> bool:
 
 def integration_window(act: Activation) -> float:
     """Smallest doubling window [-X, X] whose weighted tail is negligible."""
-    reach = max((abs(p) for p in act.singular_points), default=0.0)
+    reach = abs(act.kink[0]) if act.kink else 0.0
     x = 8.0
     while x <= _MAX_WINDOW:
         if x > reach:
-            tail = tail_weight_right(act, x) + tail_weight_left(act, x)
+            tail = tail_weight(act, x, -x)
             if np.isfinite(tail) and tail < 1e-6 and _sign_stable(act, x):
                 return x
         x *= 2.0
@@ -395,34 +385,33 @@ def integration_window(act: Activation) -> float:
 # gamma0 / inf g / gamma
 
 
-def _curvature_zeros(act: Activation, lo: float, hi: float):
-    """Sign changes of f'' inside (lo, hi), refined by bisection."""
-    xs = np.linspace(lo, hi, 4097)
-    vals = np.asarray(act.f2(xs), float)
-    out = []
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        root = optimize.brentq(lambda t: float(act.f2(t)), xs[i], xs[i + 1], xtol=1e-12)
-        out.append(root)
-    return out
+def curvature_breaks(act: Activation, ends) -> list:
+    """Sorted points cutting [min(ends), max(ends)] into pieces on which f
+    is smooth and f'' keeps one sign: the ends, the kink if it lies strictly
+    between them, and each sign change of f'' on a piece between those,
+    found on a 4097-point grid and refined by brentq."""
+    breaks = set(ends)
+    if act.kink and min(ends) < act.kink[0] < max(ends):
+        breaks.add(act.kink[0])
+    pieces = sorted(breaks)
+    for lo, hi in zip(pieces[:-1], pieces[1:]):
+        xs = np.linspace(lo, hi, 4097)
+        sign = np.sign(np.asarray(act.f2(xs), float))
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+            breaks.add(optimize.brentq(lambda t: float(act.f2(t)), xs[i], xs[i + 1], xtol=1e-12))
+    return sorted(breaks)
 
 
 def gamma0(act: Activation) -> float:
     """Quadrature value of int |f''(x)| (|x|+1) dx.
 
-    The window is split at singular points, at x=0 and at curvature sign
+    The window is split at the kink, at x=0 and at curvature sign
     changes so every panel hands scipy a smooth integrand; the two
     unbounded tails are added via the by-parts identity. Uncached:
     gamma_parts holds the one memo per activation.
     """
     window = integration_window(act)
-    breaks = {-window, window, 0.0}
-    breaks.update(p for p in act.singular_points if -window < p < window)
-    pieces = sorted(breaks)
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        breaks.update(_curvature_zeros(act, lo, hi))
-    knots = sorted(breaks)
+    knots = curvature_breaks(act, (-window, 0.0, window))
 
     def integrand(t):
         return abs(float(act.f2(t))) * (abs(t) + 1.0)
@@ -431,7 +420,7 @@ def gamma0(act: Activation) -> float:
     for lo, hi in zip(knots[:-1], knots[1:]):
         val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=10_000)
         total += val
-    total += tail_weight_right(act, window) + tail_weight_left(act, window)
+    total += tail_weight(act, window, -window)
     return total
 
 
@@ -481,7 +470,7 @@ def inf_g(act: Activation):
 def gamma_parts(act: Activation) -> GammaParts:
     """gamma0, the linear-anchor term and their sum.
 
-    Smooth case: linear term is inf_x g(x). One singular point x0:
+    Smooth case: linear term is inf_x g(x). A kink at x0:
     linear term is |f(x0)| + (1+|x0|)(|f'+(x0)| + |f'-(x0)|).
     Computed once per activation object and kept on it.
     """

@@ -21,7 +21,7 @@ from . import activations as act_mod
 from . import bounds as bounds_mod
 from . import resnet as res_mod
 from .activations import by_name
-from .errors import NumericalError, OutOfRange, ParseError, PathNormError, load_json
+from .errors import NumericalError, OutOfRange, ParseError, PathNormError, TooLarge, load_json
 from .relu1d import approximate_activation
 from .resnet import eval_resnet
 from .rng import make_rng
@@ -160,7 +160,7 @@ def cmd_norm(args):
     try:
         brute = res_mod.norm_bruteforce(model)
         brute_delta = abs(brute - closed)
-    except PathNormError:
+    except TooLarge:
         brute, brute_delta = "skipped", None
     scale = max(abs(closed), 1.0)
     rows = [{

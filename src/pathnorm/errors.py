@@ -15,10 +15,6 @@ class NonIntegrable(NumericalError):
     """The curvature integral shows no sign of converging."""
 
 
-class MultiSingular(PathNormError):
-    """More than one singular point; the singular-case formulas cover one."""
-
-
 class NoAsymptote(NumericalError):
     """Edge sampling of f and f' did not stabilize to a linear asymptote."""
 

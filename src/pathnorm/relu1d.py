@@ -7,7 +7,7 @@ a net g(t) = sum_k alpha_k relu(beta_k t + gamma_k) with
     sum_k |alpha_k| (|beta_k| + |gamma_k|) <= gamma(f) + eps
 
 The construction anchors at a point x_eps where the linear-part cost g(x_eps)
-is within eps of its infimum (the singular point itself for one-kink
+is within eps of its infimum (the kink itself for one-kink
 activations), interpolates the curved remainder on [x_eps - T, x_eps + T]
 with uniform knots and slope-increment units, and continues with the exact
 asymptote slopes outside the window.
@@ -118,10 +118,8 @@ def eval_relu1d(net: ReluNet1D, t):
 
 def _pick_anchor(act: Activation, eps: float):
     """Anchor point plus one-sided slopes of the linear part there."""
-    if act.singular_points:
-        x0 = act.singular_points[0]
-        d_left, d_right = act.one_sided_f1[0]
-        return x0, d_left, d_right
+    if act.kink:
+        return act.kink
     x_star, g_star = act_mod.inf_g(act)
     budget = g_star + 0.25 * eps
     candidates = [0.0]
@@ -149,7 +147,7 @@ def _window_halfwidth(act: Activation, x_eps: float, eps: float) -> float:
             abs(float(act.f(hi)) - (c * hi + d)),
             abs(float(act.f(lo)) - (a * lo + b)),
         )
-        tails = act_mod.tail_weight_right(act, hi) + act_mod.tail_weight_left(act, -lo)
+        tails = act_mod.tail_weight(act, hi, lo)
         # _certified_sup needs f'' of one sign beyond both edges
         if asym_err <= eps / 8.0 and tails <= eps / 32.0 and act_mod._sign_stable(act, min(hi, -lo)):
             return t
@@ -197,7 +195,7 @@ def _build_net(act, x_eps, d_left, d_right, t_half, n_panels):
     f_left = np.asarray(act.f(ys), float) - f0 - d_left * (ys - x_eps)
     units += _slope_units(ys, f_left, d_left - a_slope, -1.0)
 
-    if act.singular_points:
+    if act.kink:
         x0 = x_eps
         if d_right != 0.0:
             units.append((d_right, 1.0, -x0))
@@ -262,9 +260,7 @@ def approximate_activation(act: Activation, eps: float):
     x_eps, d_left, d_right = _pick_anchor(act, eps)
     t_half = _window_halfwidth(act, x_eps, eps)
     lo, hi = x_eps - t_half, x_eps + t_half
-    ends = sorted({lo, hi, *(p for p in act.singular_points if lo < p < hi)})
-    breaks = ends + [z for a, b in zip(ends[:-1], ends[1:])
-                     for z in act_mod._curvature_zeros(act, a, b)]
+    breaks = act_mod.curvature_breaks(act, (lo, hi))
 
     n_panels = 64
     while n_panels <= _MAX_KNOTS:

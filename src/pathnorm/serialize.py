@@ -44,13 +44,10 @@ def activation_from_dict(obj) -> Activation:
 
 def model_to_dict(model) -> dict:
     if isinstance(model, ReluNet1D):
-        units = [[float(a), [float(b)], float(g)] for a, b, g in model.units]
-        return {"type": "two_layer", "activation": activation_to_dict(relu()), "units": units}
+        u = model.units
+        model = TwoLayerNet(u[:, 0], u[:, 1:2], u[:, 2], relu())
     if isinstance(model, TwoLayerNet):
-        units = [
-            [float(a), [float(v) for v in b], float(c)]
-            for a, b, c in zip(model.a, model.b, model.c)
-        ]
+        units = [[a, b, c] for a, b, c in zip(model.a.tolist(), model.b.tolist(), model.c.tolist())]
         return {
             "type": "two_layer",
             "activation": activation_to_dict(model.activation),

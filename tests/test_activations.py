@@ -16,6 +16,7 @@ from pathnorm.activations import (
     Activation,
     by_name,
     catalog,
+    custom_activation,
     elu,
     gelu,
     leaky_relu,
@@ -25,7 +26,7 @@ from pathnorm.activations import (
     swish,
     tanh,
 )
-from pathnorm.errors import MultiSingular, NoAsymptote, NonIntegrable, ParseError
+from pathnorm.errors import NoAsymptote, NonIntegrable, ParseError
 from pathnorm.relu1d import approximate_activation
 
 GELU_GAMMA = 4.0 * (ndtr(math.sqrt(2)) + (1 + math.sqrt(2)) / (math.e * math.sqrt(math.pi))) - 3.0
@@ -159,14 +160,14 @@ def test_asymptote_residual_at_window_edge(act):
 
 @pytest.mark.parametrize("act", catalog(), ids=lambda a: a.label)
 def test_continuity_and_derivatives(act):
-    for x0 in act.singular_points:
+    for x0 in act.kink[:1]:
         near = x0 + np.array([-1e-7, -1e-9, 1e-9, 1e-7])
         vals = np.asarray(act.f(near), float)
         assert np.all(np.abs(vals - float(act.f(x0))) < 1e-6)
     # centered differences away from kinks
     rng = np.random.default_rng(3)
     xs = rng.uniform(-6, 6, size=200)
-    for x0 in act.singular_points:
+    for x0 in act.kink[:1]:
         xs = xs[np.abs(xs - x0) > 1e-2]
     h = 1e-5
     fd1 = (np.asarray(act.f(xs + h)) - np.asarray(act.f(xs - h))) / (2 * h)
@@ -184,8 +185,8 @@ def _sampled_lipschitz_sup(act):
         -np.geomspace(40.0, 1e6, 64),
     ])
     sup = float(np.max(np.abs(act.f1(xs))))
-    for d_left, d_right in act.one_sided_f1:
-        sup = max(sup, abs(d_left), abs(d_right))
+    for slope in act.kink[1:]:
+        sup = max(sup, abs(slope))
     return max(sup, abs(act.asymptote_left[0]), abs(act.asymptote_right[0]))
 
 
@@ -206,18 +207,30 @@ def test_lipschitz_dominates_empirical(act):
 
 
 def test_multiple_singular_points_rejected():
-    hard = Activation(
-        name="hard_clip",
-        f=lambda x: np.clip(np.asarray(x, float), -1.0, 1.0),
-        f1=lambda x: ((np.abs(np.asarray(x, float)) < 1.0) * 1.0),
-        f2=lambda x: np.zeros_like(np.asarray(x, float)),
-        asymptote_left=(0.0, -1.0),
-        asymptote_right=(0.0, 1.0),
-        singular_points=(-1.0, 1.0),
-        one_sided_f1=((0.0, 1.0), (1.0, 0.0)),
-    )
-    with pytest.raises(MultiSingular):
-        A.gamma(hard)
+    hard_clip = {
+        "name": "hard_clip",
+        "f": "max(-1, min(x, 1))",
+        "f1": "(1 - sign(abs(x) - 1)) / 2",
+        "f2": "0",
+        "asymptote_left": [0, -1],
+        "asymptote_right": [0, 1],
+        "singular_points": [-1, 1],
+        "one_sided_f1": [[0, 1], [1, 0]],
+    }
+    with pytest.raises(ParseError, match="2 singular points"):
+        custom_activation(hard_clip)
+
+
+@pytest.mark.parametrize("act", catalog() + [swish(0.2), swish(5.0)], ids=lambda a: a.label)
+def test_curvature_breaks_leave_one_sign_per_piece(act):
+    window = A.integration_window(act)
+    breaks = A.curvature_breaks(act, (-window, 0.0, window))
+    assert breaks == sorted(set(breaks))
+    assert breaks[0] == -window and breaks[-1] == window and 0.0 in breaks
+    assert not act.kink or act.kink[0] in breaks
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        vals = np.asarray(act.f2(np.linspace(lo, hi, 66)[1:-1]), float)
+        assert (vals >= 0).all() or (vals <= 0).all(), (lo, hi)
 
 
 def test_quadratic_is_nonintegrable():

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ def test_apriori_target_out_of_range_names_flags(capsys):
                        "--m", "2", "--steps", "2")
     assert code == 2
     assert "--atoms" in err and "--activation tanh" in err
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    # each line is `pathnorm <argv...>  # comment`
+    commands = [line.split("#")[0].split()[1:] for line in block.splitlines() if line.strip()]
+    assert len(commands) == 9
+    rng = make_rng(3)
+    net = TwoLayerNet(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4),
+                      sigmoid())
+    save_model(net, tmp_path / "two_layer.json")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "apriori":
+            argv += ["--seeds", "2"]  # the README's 20 seeds take 9 s
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_usage_errors(capsys):
@@ -490,8 +509,8 @@ def custom_specs(expr, number):
         {"f": expr, "f1": expr, "f2": expr,
          "asymptote_left": st.lists(number, min_size=2, max_size=2),
          "asymptote_right": st.lists(number, min_size=2, max_size=2)},
-        optional={"name": JSON, "singular_points": st.lists(number, max_size=1),
-                  "one_sided_f1": st.lists(st.lists(number, min_size=2, max_size=2), max_size=1),
+        optional={"name": JSON, "singular_points": st.lists(number, max_size=2),
+                  "one_sided_f1": st.lists(st.lists(number, min_size=2, max_size=2), max_size=2),
                   "closed_form_gamma": number})
 
 
