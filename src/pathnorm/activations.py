@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from .errors import NoAsymptote, NonIntegrable, ParseError, load_json
 from .expressions import ExprError, compile_expr
@@ -205,13 +205,17 @@ def softplus() -> Activation:
     )
 
 
+# t > 0 solving exp(-t) = (t-2)/(t+2), as brentq on [2 + 1e-9, 10] finds it
+_SWISH_T2 = 2.399357280515468  # 0x1.331e23ad9de12p+1
+
+
 def _swish_constants():
     """c1, c2 with gamma(swish_beta) = c1/beta + c2 - 1.
 
-    t2 > 0 solves exp(-t) = (t-2)/(t+2); the curvature of x*sigmoid(x)
-    changes sign at -t2 and t2.
+    The curvature of x*sigmoid(x) changes sign at -t2 and t2, where
+    t2 = _SWISH_T2 is the literal root, so building swish runs no root-finder.
     """
-    t2 = optimize.brentq(lambda t: np.exp(-t) - (t - 2.0) / (t + 2.0), 2.0 + 1e-9, 10.0)
+    t2 = _SWISH_T2
     s = special.expit(t2)
     sp = s * (1.0 - s)
     c1 = 4.0 * t2 * t2 * sp
@@ -389,7 +393,11 @@ def curvature_breaks(act: Activation, ends) -> list:
     """Sorted points cutting [min(ends), max(ends)] into pieces on which f
     is smooth and f'' keeps one sign: the ends, the kink if it lies strictly
     between them, and each sign change of f'' on a piece between those,
-    found on a 4097-point grid and refined by brentq."""
+    found on a 4097-point grid and refined by brentq. scipy.optimize is
+    imported here, at the first call, so a command that computes no gamma
+    and builds no approximant never loads it."""
+    from scipy import optimize
+
     breaks = set(ends)
     if act.kink and min(ends) < act.kink[0] < max(ends):
         breaks.add(act.kink[0])
@@ -410,6 +418,8 @@ def gamma0(act: Activation) -> float:
     unbounded tails are added via the by-parts identity. Uncached:
     gamma_parts holds the one memo per activation.
     """
+    from scipy import integrate
+
     window = integration_window(act)
     knots = curvature_breaks(act, (-window, 0.0, window))
 
@@ -443,6 +453,8 @@ def _g_limits(act: Activation):
 
 def inf_g(act: Activation):
     """Approximate (argmin, infimum) of g; the argmin may be +-inf."""
+    from scipy import optimize
+
     xs = np.linspace(-64.0, 64.0, 4096)
     vals = np.asarray(g_value(act, xs), float)
     i = int(np.argmin(vals))

@@ -250,7 +250,10 @@ def cmd_rad_check(args):
             args.candidates, args.d, args.m, act, args.budget, seed=args.seed,
             modified=not relu_only,
         )
-        bound = bounds_mod.rad_bound_two_layer(args.budget, args.d, args.n, act_mod.gamma(act))
+        if relu_only:
+            bound = bounds_mod.rad_bound_relu(args.budget, args.d, args.n)
+        else:
+            bound = bounds_mod.rad_bound_two_layer(args.budget, args.d, args.n, act_mod.gamma(act))
         norm_fn = path_norm if relu_only else modified_path_norm
     elif args.family == "resnet":
         act = by_name(args.activation)
@@ -376,12 +379,20 @@ def cmd_train(args):
     return [row], True
 
 
-def _load_rep(path: str, d: int) -> DiscreteBarronRep:
+def _load_rep(path: str, d: int, act: act_mod.Activation) -> DiscreteBarronRep:
     if path is None:
-        # default: single atom aligned with the first axis
+        # default: one atom along the first axis. Where f is negative at the
+        # low end of the atom's input range, the range moves to start at 0;
+        # the weight scales the target's top down to 1. The target lies in
+        # [0, 1] when f is nondecreasing on the range and f(0) >= 0, as for
+        # every built-in. sigmoid's atom needs neither change.
         w = np.zeros((1, d + 1))
         w[0, :2] = [1.0, 0.5] if d > 1 else [1.0, 1.0]
-        return DiscreteBarronRep(np.ones(1), w, np.ones(1))
+        reach = float(np.abs(w[0, :d]).sum())
+        if float(act.f(w[0, d] - reach)) < 0.0:
+            w[0, d] = reach
+        top = float(act.f(w[0, d] + reach))
+        return DiscreteBarronRep(np.ones(1), w, np.array([1.0 / max(top, 1.0)]))
     obj = load_json(path, "atoms")
     try:
         return DiscreteBarronRep(
@@ -396,8 +407,8 @@ def _load_rep(path: str, d: int) -> DiscreteBarronRep:
 def cmd_apriori(args):
     if args.seed + args.seeds > 2**128:
         raise ParseError("--seed + --seeds must not exceed 2**128")
-    rep = _load_rep(args.atoms, args.d)
     act = by_name(args.activation)
+    rep = _load_rep(args.atoms, args.d, act)
     seeds = range(args.seed, args.seed + args.seeds)
 
     try:

@@ -61,6 +61,20 @@ def test_swish_gamma(beta):
     assert A.gamma(act) == pytest.approx(act.closed_form_gamma, abs=1e-6)
 
 
+def test_swish_root_literal_is_brentqs_root():
+    # swish is built from the literal so that it loads no root-finder
+    from scipy import optimize
+
+    t2 = optimize.brentq(lambda t: np.exp(-t) - (t - 2.0) / (t + 2.0), 2.0 + 1e-9, 10.0)
+    assert t2 == A._SWISH_T2
+
+
+def test_relu_gamma_is_exactly_one():
+    # rad-check --family relu uses rad_bound_relu, i.e. gamma 1.0, without computing it
+    parts = A.gamma_parts(relu())
+    assert (parts.gamma0, parts.linear_term, parts.total) == (0.0, 1.0, 1.0)
+
+
 def test_gamma_parts_split():
     parts = A.gamma_parts(sigmoid())
     assert parts.gamma0 == pytest.approx(1.5, abs=1e-6)

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathnorm import cli
-from pathnorm.activations import relu, sigmoid
+from pathnorm.activations import catalog, relu, sigmoid, swish
+from pathnorm.bounds import rad_bound_relu
 from pathnorm.rng import make_rng
 from pathnorm.serialize import load_model, save_model
 from pathnorm.resnet import ResNet
@@ -156,6 +160,41 @@ def test_rad_check_families(capsys, family):
     assert row["estimate"] <= row["bound"]
 
 
+def test_rad_check_relu_bound_is_rad_bound_relu(capsys):
+    code, out, _ = run(capsys, "rad-check", "--family", "relu", "--d", "3", "--n", "100",
+                       "--budget", "1.5", "--candidates", "4", "--sign-draws", "8",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["bound"] == rad_bound_relu(1.5, 3, 100)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+NO_GAMMA_RUN = """
+import sys
+from pathnorm import activations, cli
+activations.catalog()
+argvs = [["rad-check", "--family", "relu", "--candidates", "4", "--sign-draws", "8"]]
+argvs += [["norm", "--model", path] for path in sys.argv[1:]]
+for argv in argvs:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+"""
+
+
+def test_commands_without_gamma_leave_optimize_and_integrate_unloaded(tmp_path, resnet_file):
+    # a fresh interpreter: this process has long since imported both modules
+    rng = make_rng(5)
+    two = tmp_path / "swish.json"
+    save_model(TwoLayerNet(rng.normal(size=3), rng.normal(size=(3, 2)), rng.normal(size=3),
+                           swish(1.5)), two)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_GAMMA_RUN, str(two), resnet_file[0]],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_bounds_lambda_value(capsys):
     code, out, _ = run(capsys, "bounds", "--kind", "lambda-two-layer", "--d", "1",
                        "--n", "100", "--activation", "relu", "--format", "json")
@@ -215,9 +254,18 @@ def test_apriori_quick(capsys):
     assert all(r["ok"] for r in rows)
 
 
-def test_apriori_target_out_of_range_names_flags(capsys):
-    code, _, err = run(capsys, "apriori", "--activation", "tanh", "--seeds", "1", "--n", "8",
-                       "--m", "2", "--steps", "2")
+@pytest.mark.parametrize("act", [act.label for act in catalog()])
+def test_apriori_default_target_fits_every_builtin(capsys, act):
+    code, _, err = run(capsys, "apriori", "--activation", act, "--seeds", "1", "--steps", "2",
+                       "--n", "8", "--m", "2")
+    assert code == 0, err
+
+
+def test_apriori_target_out_of_range_names_flags(capsys, tmp_path):
+    atoms = tmp_path / "atoms.json"  # tanh(x0 + 0.5 x1) goes negative
+    atoms.write_text(json.dumps({"probs": [1], "ws": [[1, 0.5, 0]], "coeffs": [1]}))
+    code, _, err = run(capsys, "apriori", "--activation", "tanh", "--atoms", str(atoms),
+                       "--seeds", "1", "--n", "8", "--m", "2", "--steps", "2")
     assert code == 2
     assert "--atoms" in err and "--activation tanh" in err
 
@@ -302,7 +350,7 @@ TANH_SPEC = {"f": "tanh(x)", "f1": "1 - tanh(x)**2", "f2": "-2*tanh(x)*(1 - tanh
     (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--delta", "0"], None),
     (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--lam-mult", "nan"], None),
     (["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--require", "2"], None),
-    (["apriori", "--activation", "tanh", "--seeds", "1", "--n", "8", "--m", "2", "--steps", "2"],
+    (["apriori", "--atoms", "{model}", "--seeds", "1", "--n", "8", "--m", "2", "--steps", "2"],
      None),
     (["gamma-table", "--tol", "-1"], None),
     (["rad-check", "--budget", "nan"], None),
