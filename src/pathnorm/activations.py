@@ -70,6 +70,11 @@ class Activation:
             _, linear = inf_g(self)
         return GammaParts(g0, float(linear), g0 + float(linear))
 
+    @cached_property
+    def _inf_g(self) -> tuple:
+        # inf_g's memo: gamma and the approximant's anchor both read it
+        return _search_inf_g(self)
+
 
 class GammaParts(NamedTuple):
     gamma0: float
@@ -452,7 +457,12 @@ def _g_limits(act: Activation):
 
 
 def inf_g(act: Activation):
-    """Approximate (argmin, infimum) of g; the argmin may be +-inf."""
+    """Approximate (argmin, infimum) of g, searched once per activation and
+    kept on it; the argmin may be +-inf."""
+    return act._inf_g
+
+
+def _search_inf_g(act: Activation):
     from scipy import optimize
 
     xs = np.linspace(-64.0, 64.0, 4096)

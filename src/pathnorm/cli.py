@@ -289,8 +289,9 @@ def cmd_rad_check(args):
 
 def cmd_bounds(args):
     act = by_name(args.activation)
-    gam = act_mod.gamma(act)
     kind = args.kind
+    # rad_bound_relu is built on gamma(relu) = 1, whatever --activation names
+    gam = 1.0 if kind == "rad-relu" else act_mod.gamma(act)
     if kind == "rad-two-layer":
         value = bounds_mod.rad_bound_two_layer(args.q, args.d, args.n, gam)
     elif kind == "rad-relu":

@@ -27,6 +27,10 @@ class DimMismatch(PathNormError, ValueError):
     """Input dimension does not match the network."""
 
 
+class NotRelu1D(PathNormError, ValueError):
+    """A one-dimensional ReLU routine was given another kind of net."""
+
+
 class OutOfRange(PathNormError, ValueError):
     """Data outside the domain a routine is defined on."""
 

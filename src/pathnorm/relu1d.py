@@ -1,7 +1,8 @@
 """Certified one-dimensional ReLU approximants of scalar activations.
 
 approximate_activation builds, for a target activation f and accuracy eps,
-a net g(t) = sum_k alpha_k relu(beta_k t + gamma_k) with
+a net g(t) = sum_k alpha_k relu(beta_k t + gamma_k), a relu TwoLayerNet on
+d = 1 whose unit rows are (alpha_k, beta_k, gamma_k), with
 
     sup_t |f(t) - g(t)| <= eps        (certified over the whole line)
     sum_k |alpha_k| (|beta_k| + |gamma_k|) <= gamma(f) + eps
@@ -26,29 +27,11 @@ import numpy as np
 
 from . import activations as act_mod
 from .activations import Activation
-from .errors import NoConvergence
+from .errors import NoConvergence, NotRelu1D
+from .twolayer import TwoLayerNet, path_norm
 
 _PRUNE_TOL = 1e-15
 _MAX_KNOTS = 1_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class ReluNet1D:
-    """Rows of units are (alpha, beta, gamma): t -> alpha*relu(beta*t + gamma)."""
-
-    units: np.ndarray
-
-    def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.units, float))
-        if u.size == 0:
-            u = u.reshape(0, 3)
-        if u.shape[1] != 3:
-            raise ValueError("units must be rows (alpha, beta, gamma)")
-        object.__setattr__(self, "units", u)
-
-    @property
-    def width(self) -> int:
-        return self.units.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,25 +50,21 @@ class ApproxCertificate:
     grid_points: int
 
 
-def path_norm_1d(net: ReluNet1D) -> float:
-    u = net.units
-    if u.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(u[:, 0]) * (np.abs(u[:, 1]) + np.abs(u[:, 2]))))
-
-
-def eval_relu1d(net: ReluNet1D, t):
-    """Evaluate the net at scalar or array t.
+def eval_relu1d(net: TwoLayerNet, t):
+    """Evaluate a one-dimensional ReLU net at scalar or array t.
 
     Units are bucketed by the sign of beta and turned into sorted knot
     arrays with prefix sums, so a query costs O(log K) instead of O(K).
+    Raises NotRelu1D for a net of another activation or input dimension.
     """
+    act = net.activation
+    if net.input_dim != 1 or act.name != "relu" or act.spec is not None:
+        raise NotRelu1D(f"need a relu net on d = 1, got {act.label} on d = {net.input_dim}")
     t_in = np.asarray(t, float)
     tq = np.atleast_1d(t_in).ravel()
     out = np.zeros_like(tq)
-    u = net.units
-    if u.size:
-        a, b, g = u[:, 0], u[:, 1], u[:, 2]
+    if net.width:
+        a, b, g = net.a, net.b[:, 0], net.c
         flat = b == 0
         if flat.any():
             out += float(np.sum(a[flat] * np.maximum(g[flat], 0.0)))
@@ -211,7 +190,8 @@ def _build_net(act, x_eps, d_left, d_right, t_half, n_panels):
         const = f0 - x_eps * slope
         if const != 0.0:
             units.append((np.sign(const), 0.0, abs(const)))
-    return ReluNet1D(np.array(units, float).reshape(-1, 3))
+    alpha, beta, gam = np.array(units, float).reshape(-1, 3).T
+    return TwoLayerNet(alpha, beta[:, None], gam, act_mod.relu())
 
 
 def _certified_sup(act, net, breaks):
@@ -227,9 +207,9 @@ def _certified_sup(act, net, breaks):
     out there, f - l shrinks monotonically to 0, so the error moves
     monotonically from f(R) - net(R) to l(R) - net(R); likewise on the left.
     """
-    u = net.units
-    turns = u[:, 1] != 0.0
-    xs = np.unique(np.concatenate([breaks, -u[turns, 2] / u[turns, 1]]))
+    b, g = net.b[:, 0], net.c
+    turns = b != 0.0
+    xs = np.unique(np.concatenate([breaks, -g[turns] / b[turns]]))
     net_xs = eval_relu1d(net, xs)
     err = np.asarray(act.f(xs), float) - net_xs
     lo, hi = xs[:-1], xs[1:]
@@ -252,7 +232,8 @@ def _certified_sup(act, net, breaks):
 
 
 def approximate_activation(act: Activation, eps: float):
-    """Certified ReLU approximant; returns (ReluNet1D, ApproxCertificate)."""
+    """Certified ReLU approximant; returns (TwoLayerNet, ApproxCertificate),
+    the net a relu net on d = 1."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     gamma_ref = act_mod.gamma(act)
@@ -266,7 +247,7 @@ def approximate_activation(act: Activation, eps: float):
     while n_panels <= _MAX_KNOTS:
         net = _build_net(act, x_eps, d_left, d_right, t_half, n_panels)
         err, points = _certified_sup(act, net, breaks)
-        norm = path_norm_1d(net)
+        norm = path_norm(net)
         if err <= eps and norm <= gamma_ref + eps:
             cert = ApproxCertificate(
                 epsilon_requested=eps,

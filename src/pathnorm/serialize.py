@@ -10,7 +10,6 @@ Schemas:
      "blocks": [{"W": [[...]], "U": [[...]]}, ...]}
 
 A custom activation is written as the JSON object it was built from.
-One-dimensional ReLU nets are written in the two_layer schema with d = 1.
 Numbers survive a round trip bit-exactly (shortest-repr JSON floats).
 """
 
@@ -18,9 +17,8 @@ import json
 
 import numpy as np
 
-from .activations import Activation, custom_activation, make_activation, relu
+from .activations import Activation, custom_activation, make_activation
 from .errors import ParseError, load_json
-from .relu1d import ReluNet1D
 from .resnet import ResNet
 from .twolayer import TwoLayerNet
 
@@ -43,9 +41,6 @@ def activation_from_dict(obj) -> Activation:
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, ReluNet1D):
-        u = model.units
-        model = TwoLayerNet(u[:, 0], u[:, 1:2], u[:, 2], relu())
     if isinstance(model, TwoLayerNet):
         units = [[a, b, c] for a, b, c in zip(model.a.tolist(), model.b.tolist(), model.c.tolist())]
         return {

@@ -16,7 +16,6 @@ import numpy as np
 from . import activations as act_mod
 from .activations import Activation
 from .errors import DimMismatch, EmptyDataset, OutOfRange
-from .relu1d import approximate_activation
 from .rng import make_rng
 
 
@@ -46,6 +45,11 @@ class TwoLayerNet:
     @property
     def input_dim(self) -> int:
         return self.b.shape[1]
+
+    @property
+    def units(self) -> np.ndarray:
+        """Rows (a_k, b_k, c_k), shape (width, input_dim + 2), built on each read."""
+        return np.column_stack([self.a, self.b, self.c])
 
 
 # pre-activations per row block of eval_two_layer: 512 KiB of float64, so the
@@ -123,8 +127,9 @@ def rewrite_to_relu(net: TwoLayerNet, eps: float, seed: int = 0):
 
     the latter checked on 10,000 seeded uniform points in [-1, 1]^d.
     """
+    from .relu1d import approximate_activation  # at call time: relu1d imports this module
     g_net, cert = approximate_activation(net.activation, eps)
-    alpha, beta, gam = g_net.units[:, 0], g_net.units[:, 1], g_net.units[:, 2]
+    alpha, beta, gam = g_net.units.T
 
     new_a = np.outer(net.a, alpha).ravel()
     new_b = (net.b[:, None, :] * beta[None, :, None]).reshape(-1, net.input_dim)

@@ -344,6 +344,23 @@ def test_one_quadrature_per_activation(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_inf_g_search_per_activation(monkeypatch):
+    # the search evaluates g on a grid; the anchor then tries single points
+    grids = []
+    real = A.g_value
+
+    def counting(act, x):
+        if np.size(x) > 1:
+            grids.append(np.size(x))
+        return real(act, x)
+
+    monkeypatch.setattr(A, "g_value", counting)
+    act = tanh()
+    A.gamma(act)
+    approximate_activation(act, 1e-2)
+    assert len(grids) == 1
+
+
 def test_gamma_memo_dies_with_its_activation():
     act = swish(1.25)
     A.gamma(act)

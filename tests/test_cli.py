@@ -22,7 +22,6 @@ from pathnorm.rng import make_rng
 from pathnorm.serialize import load_model, save_model
 from pathnorm.resnet import ResNet
 from pathnorm.twolayer import TwoLayerNet, modified_path_norm, path_norm
-from pathnorm.relu1d import path_norm_1d
 
 
 def run(capsys, *argv):
@@ -173,7 +172,8 @@ NO_GAMMA_RUN = """
 import sys
 from pathnorm import activations, cli
 activations.catalog()
-argvs = [["rad-check", "--family", "relu", "--candidates", "4", "--sign-draws", "8"]]
+argvs = [["rad-check", "--family", "relu", "--candidates", "4", "--sign-draws", "8"],
+         ["bounds", "--kind", "rad-relu", "--d", "4", "--n", "100", "--activation", "sigmoid"]]
 argvs += [["norm", "--model", path] for path in sys.argv[1:]]
 for argv in argvs:
     assert cli.main(argv) == 0, argv
@@ -195,11 +195,33 @@ def test_commands_without_gamma_leave_optimize_and_integrate_unloaded(tmp_path, 
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+IMPORT_ALONE = "import importlib, sys; importlib.import_module(sys.argv[1])"
+
+
+@pytest.mark.parametrize("module", ["pathnorm.relu1d", "pathnorm.twolayer"])
+def test_module_imports_alone(module):
+    # relu1d builds TwoLayerNets and twolayer.rewrite_to_relu calls relu1d:
+    # a top-level import in both directions would break one order or both
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_ALONE, module],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bounds_lambda_value(capsys):
     code, out, _ = run(capsys, "bounds", "--kind", "lambda-two-layer", "--d", "1",
                        "--n", "100", "--activation", "relu", "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["value"] == pytest.approx(1.4320873778523162, rel=1e-12)
+
+
+def test_bounds_rad_relu_reports_the_gamma_it_uses(capsys):
+    code, out, _ = run(capsys, "bounds", "--kind", "rad-relu", "--d", "4", "--n", "100",
+                       "--activation", "sigmoid", "--format", "json")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert (row["gamma"], row["value"]) == (1.0, rad_bound_relu(1.0, 4, 100))
 
 
 def test_bounds_posterior_value(capsys):

@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathnorm import activations as A
-from pathnorm.activations import Activation, catalog, elu, relu, sigmoid, tanh
-from pathnorm.errors import NoConvergence, NonIntegrable
-from pathnorm.relu1d import (
-    ReluNet1D,
-    approximate_activation,
-    eval_relu1d,
-    path_norm_1d,
-)
+from pathnorm.activations import Activation, catalog, custom_activation, elu, relu, sigmoid, tanh
+from pathnorm.errors import NoConvergence, NonIntegrable, NotRelu1D
+from pathnorm.relu1d import approximate_activation, eval_relu1d
+from pathnorm.twolayer import TwoLayerNet, path_norm
 from pathnorm import relu1d
 
 
-def net_of(*units) -> ReluNet1D:
-    return ReluNet1D(np.array(units, float).reshape(-1, 3))
+def net_of(*units) -> TwoLayerNet:
+    """A relu net on d = 1 from rows (alpha, beta, gamma)."""
+    alpha, beta, gam = np.array(units, float).reshape(-1, 3).T
+    return TwoLayerNet(alpha, beta[:, None], gam, relu())
 
 
 def test_eval_single_unit_inactive():
@@ -32,14 +30,28 @@ def test_eval_two_units():
 
 
 def test_eval_empty():
-    empty = ReluNet1D(np.empty((0, 3)))
+    empty = net_of()
     assert eval_relu1d(empty, 17.3) == 0.0
-    assert path_norm_1d(empty) == 0.0
+    assert path_norm(empty) == 0.0
 
 
 def test_path_norm_values():
-    assert path_norm_1d(net_of((1, 1, 0))) == 1.0
-    assert path_norm_1d(net_of((2, -3, 1), (0.5, 0, 4))) == pytest.approx(10.0)
+    assert path_norm(net_of((1, 1, 0))) == 1.0
+    assert path_norm(net_of((2, -3, 1), (0.5, 0, 4))) == pytest.approx(10.0)
+
+
+RELU_SPEC = {"name": "relu", "f": "(x + abs(x)) / 2", "f1": "(1 + sign(x)) / 2", "f2": "0*x",
+             "asymptote_left": [0, 0], "asymptote_right": [1, 0]}
+
+
+@pytest.mark.parametrize("net", [
+    TwoLayerNet([1.0], [[1.0, 0.5]], [0.0], relu()),
+    TwoLayerNet([1.0], [[1.0]], [0.0], sigmoid()),
+    TwoLayerNet([1.0], [[1.0]], [0.0], custom_activation(RELU_SPEC)),
+], ids=["relu d=2", "sigmoid d=1", "custom named relu"])
+def test_eval_rejects_other_nets(net):
+    with pytest.raises(NotRelu1D):
+        eval_relu1d(net, 0.5)
 
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -51,7 +63,7 @@ finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
     st.lists(finite, min_size=1, max_size=16),
 )
 def test_eval_matches_direct_sum(units, points):
-    net = ReluNet1D(np.array(units, float).reshape(-1, 3))
+    net = net_of(*units)
     t = np.array(points)
     expected = sum(a * np.maximum(0.0, b * t + g) for a, b, g in units) if units else 0.0 * t
     assert np.allclose(eval_relu1d(net, t), expected, rtol=1e-12, atol=1e-12)

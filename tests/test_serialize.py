@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from pathnorm.activations import custom_activation, leaky_relu, relu, sigmoid, swish
+from pathnorm.activations import catalog, custom_activation, leaky_relu, relu, sigmoid, swish
 from pathnorm.errors import ParseError
-from pathnorm.relu1d import ReluNet1D, approximate_activation, eval_relu1d, path_norm_1d
+from pathnorm.relu1d import approximate_activation, eval_relu1d
 from pathnorm.resnet import ResNet, eval_resnet, norm_closed
 from pathnorm.rng import make_rng
 from pathnorm.serialize import (
@@ -57,16 +57,21 @@ def test_resnet_round_trip_bit_exact():
     assert np.array_equal(eval_resnet(back, x), eval_resnet(net, x))
 
 
-def test_relu1d_saved_as_two_layer():
-    net, _ = approximate_activation(sigmoid(), 1e-1)
-    back = model_from_dict(model_to_dict(net))
-    assert isinstance(back, TwoLayerNet)
-    assert back.activation.name == "relu"
-    assert path_norm(back) == path_norm_1d(net)
-    t = np.linspace(-5, 5, 11)
-    got = eval_two_layer(back, t[:, None])
-    want = np.array([eval_relu1d(net, ti) for ti in t])
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+@pytest.mark.parametrize("act", catalog(), ids=lambda a: a.label)
+def test_relu1d_saved_as_two_layer(act, tmp_path):
+    net, cert = approximate_activation(act, 1e-2)
+    assert isinstance(net, TwoLayerNet)
+    assert net.activation.name == "relu" and net.input_dim == 1
+    t = np.linspace(-50, 50, 1001)
+    assert np.allclose(eval_two_layer(net, t[:, None]), eval_relu1d(net, t), rtol=1e-12, atol=1e-12)
+    path = tmp_path / "net.json"
+    save_model(net, path)
+    back = load_model(path)
+    assert isinstance(back, TwoLayerNet) and back.activation.name == "relu"
+    assert np.array_equal(back.a, net.a)
+    assert np.array_equal(back.b, net.b)
+    assert np.array_equal(back.c, net.c)
+    assert path_norm(back) == cert.path_norm
 
 
 def test_save_load_file_round_trip(tmp_path):
