@@ -282,7 +282,11 @@ def make_activation(name: str, **params) -> Activation:
     except KeyError:
         raise ParseError(f"unknown activation {name!r}") from None
     try:
-        return factory(**{k: float(v) for k, v in params.items()})
+        values = {k: float(v) for k, v in params.items()}
+        bad = [k for k, v in values.items() if not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"{bad[0]} must be finite")
+        return factory(**values)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameters for {name}: {exc}") from None
 
@@ -420,8 +424,10 @@ def gamma0(act: Activation) -> float:
 
     The window is split at the kink, at x=0 and at curvature sign
     changes so every panel hands scipy a smooth integrand; the two
-    unbounded tails are added via the by-parts identity. Uncached:
-    gamma_parts holds the one memo per activation.
+    unbounded tails are added via the by-parts identity. A panel whose
+    quadrature does not converge raises NonIntegrable rather than adding
+    up quad's estimate. Uncached: gamma_parts holds the one memo per
+    activation.
     """
     from scipy import integrate
 
@@ -433,7 +439,12 @@ def gamma0(act: Activation) -> float:
 
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8, limit=10_000)
+        # full_output: a fourth element, quad's message, means it did not converge
+        val, _, _, *failed = integrate.quad(integrand, lo, hi, epsabs=1e-8, epsrel=1e-8,
+                                            limit=10_000, full_output=1)
+        if failed:
+            raise NonIntegrable(f"quadrature of {act.label} on [{lo:g}, {hi:g}] "
+                                f"did not converge: {failed[0].splitlines()[0]}")
         total += val
     total += tail_weight(act, window, -window)
     return total

@@ -6,7 +6,8 @@ A net is f(x) = sum_k a_k sigma(b_k . x + c_k) with
     modified_path_norm sum_k |a_k| (||b_k||_1 + |c_k| + 1)
 
 rewrite_to_relu replaces sigma by a certified ReLU approximant and reports
-the norm and deviation guarantees that come with it.
+the norm and deviation guarantees that come with it; the deviation bound is
+proved from the approximant's certified sup error, not sampled.
 """
 
 from dataclasses import dataclass
@@ -101,32 +102,32 @@ def c_sigma(act: Activation) -> float:
 
 @dataclass(frozen=True)
 class RewriteReport:
+    """A rewrite's guarantees next to their bounds; max_deviation bounds
+    |net - out| on all of R^d (see rewrite_to_relu), it is not sampled."""
+
     eps: float
     width: int
     path_norm_rewritten: float
     path_norm_bound: float
     deviation_bound: float
     max_deviation: float
-    n_check_points: int
-    seed: int
-
-
-# seeded uniform points in [-1, 1]^d on which rewrite_to_relu checks its deviation
-_N_CHECK = 10_000
 
 
 def rewrite_to_relu(net: TwoLayerNet, eps: float, seed: int = 0):
-    """Replace the activation by a certified ReLU approximant.
+    """Replace the activation by a certified ReLU approximant g.
 
     Each unit (a_k, b_k, c_k) composed with an approximant unit
     (alpha_j, beta_j, gamma_j) becomes (a_k alpha_j, beta_j b_k,
-    beta_j c_k + gamma_j). Guarantees reported:
+    beta_j c_k + gamma_j), so out(x) = sum_k a_k g(b_k . x + c_k) and
 
-        path_norm(out) <= (gamma(sigma) + eps) * modified_path_norm(net)
-        |net - out|     <= eps * sum_k |a_k|   pointwise
+        path_norm(out)  <= (gamma(sigma) + eps) * modified_path_norm(net)
+        |net - out|     <= sup|sigma - g| * sum_k |a_k|   on all of R^d
 
-    the latter checked on 10,000 seeded uniform points in [-1, 1]^d.
+    the latter with the approximant's certified sup error, itself <= eps.
+    Both hold in exact arithmetic, and only if the activation's f1 and f2
+    are the derivatives of its f, as gamma and the certificate assume.
     """
+    # seed is ignored; perfbench/inproc.py:199 is the only caller that passes it
     from .relu1d import approximate_activation  # at call time: relu1d imports this module
     g_net, cert = approximate_activation(net.activation, eps)
     alpha, beta, gam = g_net.units.T
@@ -137,18 +138,14 @@ def rewrite_to_relu(net: TwoLayerNet, eps: float, seed: int = 0):
     keep = new_a != 0.0
     out = TwoLayerNet(new_a[keep], new_b[keep], new_c[keep], act_mod.relu())
 
-    rng = make_rng(seed)
-    x_check = rng.uniform(-1.0, 1.0, size=(_N_CHECK, net.input_dim))
-    dev = float(np.max(np.abs(eval_two_layer(net, x_check) - eval_two_layer(out, x_check))))
+    abs_a = float(np.sum(np.abs(net.a)))
     report = RewriteReport(
         eps=eps,
         width=out.width,
         path_norm_rewritten=path_norm(out),
         path_norm_bound=(cert.gamma_reference + eps) * modified_path_norm(net),
-        deviation_bound=eps * float(np.sum(np.abs(net.a))),
-        max_deviation=dev,
-        n_check_points=_N_CHECK,
-        seed=seed,
+        deviation_bound=eps * abs_a,
+        max_deviation=cert.sup_error_measured * abs_a,
     )
     return out, report
 

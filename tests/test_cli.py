@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathnorm import cli
-from pathnorm.activations import catalog, relu, sigmoid, swish
+from pathnorm.activations import catalog, relu, sigmoid, swish, tanh
 from pathnorm.bounds import rad_bound_relu
 from pathnorm.rng import make_rng
 from pathnorm.serialize import load_model, save_model
@@ -147,6 +147,19 @@ def test_embed_command(capsys, two_layer_file):
     row = json.loads(out)[0]
     assert row["max_eval_deviation"] <= 1e-10
     assert row["norm"] <= row["norm_bound"] * (1 + 1e-12)
+
+
+def test_embed_tolerance_scales_with_the_net(capsys, tmp_path):
+    # output weights near 1e8 leave a rounding deviation near 6e-8 that is
+    # 2-3e-16 of the summed terms, so the guarantee holds
+    rng = make_rng(7)
+    path = tmp_path / "big.json"
+    save_model(TwoLayerNet(1e8 * rng.normal(size=4), rng.normal(size=(4, 3)),
+                           rng.normal(size=4), tanh()), path)
+    code, out, _ = run(capsys, "embed", "--model", str(path), "--depth", "2", "--width", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["max_eval_deviation"] > 1e-10
 
 
 @pytest.mark.parametrize("family", ["linear", "relu", "resnet"])
@@ -391,6 +404,11 @@ TANH_SPEC = {"f": "tanh(x)", "f1": "1 - tanh(x)**2", "f2": "-2*tanh(x)*(1 - tanh
     (GAMMA_FILE, json.dumps({**TANH_SPEC, "f": "tanh(x, 1)"})),
     (GAMMA_FILE, json.dumps({**TANH_SPEC, "f2": "0*exp(x, x) + -2*tanh(x)*(1 - tanh(x)**2)"})),
     (GAMMA_FILE, json.dumps({**TANH_SPEC, "f": "max(x)"})),
+    (["gamma-table", "--only", "leaky_relu:lam=nan"], None),
+    (["gamma-table", "--only", "swish:beta=inf"], None),
+    (["norm", "--model", "{data}"], json.dumps({
+        "type": "two_layer", "activation": {"name": "swish", "params": {"beta": float("nan")}},
+        "units": [[1.0, [1.0], 0.0]]})),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, data_text):
     data = tmp_path / "data.csv"
@@ -421,6 +439,24 @@ def test_numeric_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "approx-1d", "--activation", f"file:{spec}", "--eps", "0.1")
     assert code == 3
     assert "numeric" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-table", "--only", "file:{spec}"],
+    ["bounds", "--kind", "rad-two-layer", "--activation", "file:{spec}", "--d", "2", "--n", "10"],
+])
+def test_unconverged_quadrature_is_numeric_failure(capsys, tmp_path, argv):
+    # softsign: gamma is 5, but f'' decays so slowly that quad does not
+    # converge on the window and returned about -5e-7 for gamma0
+    spec = tmp_path / "softsign.json"
+    spec.write_text(json.dumps({
+        "name": "softsign", "f": "x/(1+abs(x))", "f1": "1/(1+abs(x))**2",
+        "f2": "-2*sign(x)/(1+abs(x))**3", "asymptote_left": [0, -1], "asymptote_right": [0, 1],
+    }))
+    code, out, err = run(capsys, *[arg.format(spec=spec) for arg in argv])
+    assert code == 3
+    assert "did not converge" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

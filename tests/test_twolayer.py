@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pathnorm.activations import relu, sigmoid, tanh
+from pathnorm.activations import gelu, relu, sigmoid, tanh
 from pathnorm.errors import DimMismatch
 from pathnorm.relu1d import approximate_activation
 from pathnorm.rng import make_rng
@@ -104,6 +104,12 @@ def test_c_sigma_values():
     assert c_sigma(tanh()) == pytest.approx(25.0, abs=1e-5)
 
 
+def sampled_deviation(net, out, seed, scale=1.0):
+    """max |net - out| over 10,000 seeded uniform points in [-scale, scale]^d."""
+    x = scale * make_rng(seed).uniform(-1, 1, (10_000, net.input_dim))
+    return float(np.max(np.abs(eval_two_layer(net, x) - eval_two_layer(out, x))))
+
+
 def test_rewrite_guarantees():
     net = TwoLayerNet(
         [1.5, -0.75, 0.25],
@@ -112,8 +118,9 @@ def test_rewrite_guarantees():
         sigmoid(),
     )
     eps = 1e-2
-    out, rep = rewrite_to_relu(net, eps, seed=11)
+    out, rep = rewrite_to_relu(net, eps)
     assert out.activation.name == "relu"
+    assert sampled_deviation(net, out, seed=11) <= rep.max_deviation * (1 + 1e-12)
     assert rep.max_deviation <= rep.deviation_bound
     assert rep.path_norm_rewritten <= rep.path_norm_bound
     assert rep.deviation_bound == pytest.approx(eps * np.sum(np.abs(net.a)))
@@ -125,23 +132,39 @@ def test_rewrite_relu_is_identity():
     net = relu_net([2, -1], [[1, -1], [0, 2]], [1, 0])
     out, rep = rewrite_to_relu(net, 1e-3)
     assert rep.max_deviation == 0.0
+    assert sampled_deviation(net, out, seed=0) == 0.0
     assert rep.path_norm_rewritten == pytest.approx(path_norm(net), rel=1e-15)
     assert np.array_equal(np.sort(out.a), np.sort(net.a))
 
 
+@pytest.mark.parametrize("act", [sigmoid, tanh, gelu])
+def test_rewrite_deviation_is_certified_off_the_cube(act):
+    # the bound holds on all of R^d, so it covers points far outside [-1, 1]^d
+    rng = make_rng(21)
+    for i in range(6):
+        m, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        net = TwoLayerNet(rng.normal(size=m), rng.normal(size=(m, d)), rng.normal(size=m), act())
+        out, rep = rewrite_to_relu(net, 1e-2)
+        _, cert = approximate_activation(net.activation, 1e-2)
+        assert rep.max_deviation == cert.sup_error_measured * float(np.sum(np.abs(net.a)))
+        assert sampled_deviation(net, out, seed=i, scale=8.0) <= rep.max_deviation * (1 + 1e-12)
+
+
 def test_rewrite_check_memory_stays_small():
-    # 896 ReLU units checked on 10,000 points: one product would hold two
+    # the 896-unit rewritten net on 10,000 points: one product would hold two
     # 10,000 x 896 temporaries (143 MB); row blocks keep the peak near 2 MB.
     rng = make_rng(8)
     net = TwoLayerNet(rng.normal(size=8), rng.normal(size=(8, 4)), rng.normal(size=8), tanh())
+    out, rep = rewrite_to_relu(net, 1e-2)
+    x = make_rng(0).uniform(-1, 1, (10_000, net.input_dim))
     tracemalloc.start()
     try:
-        out, rep = rewrite_to_relu(net, 1e-2)
+        y = eval_two_layer(out, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.width == 896
-    assert rep.max_deviation <= rep.deviation_bound
+    assert np.max(np.abs(eval_two_layer(net, x) - y)) <= rep.max_deviation * (1 + 1e-12)
     assert peak < 8e6
 
 
