@@ -3,6 +3,8 @@
 Subcommands: gamma-table, approx-1d, norm, rewrite, embed, rad-check,
 bounds, train, apriori.  Every command accepts --seed, --out and
 --format {csv,json}; reports go to stdout unless --out is given.
+embed, rad-check, train and apriori draw from --seed; gamma-table,
+approx-1d, norm, rewrite and bounds draw nothing and ignore it.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric
 failure.  Output for identical flags and seed is byte-identical.
@@ -349,6 +351,8 @@ def _synth_dataset(model_path: str, n: int, seed: int) -> Dataset:
     model = load_model(model_path)
     if not isinstance(model, TwoLayerNet):
         raise ParseError("train --target expects a two_layer model")
+    if model.width == 0:  # a saved empty model no longer knows its input dimension
+        raise ParseError("train --target: the model has no units, so no input dimension")
     rng = make_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, model.input_dim))
     y = np.clip(eval_two_layer(model, x), 0.0, 1.0)

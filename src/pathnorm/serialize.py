@@ -11,6 +11,12 @@ Schemas:
 
 A custom activation is written as the JSON object it was built from.
 Numbers survive a round trip bit-exactly (shortest-repr JSON floats).
+
+A file is json.dumps(model_to_dict(model)) plus a newline: one line, no
+indent, so json stays on its C encoder (an indent switches it to the
+pure-Python one, two to three times slower on the thousands of numbers of a
+rewritten net). An empty "units" list has no b_k to give the input
+dimension: it loads as a width-0 net on d = 0.
 """
 
 import json
@@ -69,7 +75,10 @@ def model_from_dict(obj):
         if kind == "two_layer":
             units = obj["units"]
             a = np.array([u[0] for u in units], float)
-            b = np.array([u[1] for u in units], float)
+            # an empty list has no row to give d: it loads as width 0 on d = 0
+            b = np.array([u[1] for u in units], float) if units else np.zeros((0, 0))
+            if b.ndim != 2:
+                raise ParseError(f"malformed {kind} model: each b_k must be a list of numbers")
             c = np.array([u[2] for u in units], float)
             return TwoLayerNet(a, b, c, act)
         if kind == "resnet":
@@ -88,9 +97,10 @@ def model_from_dict(obj):
 
 
 def save_model(model, path) -> None:
+    # the whole text first: a model that cannot be serialized leaves path as it was
+    text = json.dumps(model_to_dict(model)) + "\n"
     with open(path, "w") as fh:
-        # one write: json.dump with an indent writes once per token
-        fh.write(json.dumps(model_to_dict(model), indent=1) + "\n")
+        fh.write(text)
 
 
 def load_model(path):

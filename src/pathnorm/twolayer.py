@@ -133,7 +133,7 @@ def rewrite_to_relu(net: TwoLayerNet, eps: float, seed: int = 0):
     alpha, beta, gam = g_net.units.T
 
     new_a = np.outer(net.a, alpha).ravel()
-    new_b = (net.b[:, None, :] * beta[None, :, None]).reshape(-1, net.input_dim)
+    new_b = (net.b[:, None, :] * beta[None, :, None]).reshape(new_a.size, net.input_dim)
     new_c = (np.outer(net.c, beta) + gam[None, :]).ravel()
     keep = new_a != 0.0
     out = TwoLayerNet(new_a[keep], new_b[keep], new_c[keep], act_mod.relu())

@@ -323,6 +323,40 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         assert code == 0, (argv, err)
 
 
+# the commands that draw no random numbers: --seed is accepted and changes nothing
+@pytest.mark.parametrize("argv", [
+    ["gamma-table", "--only", "sigmoid"],
+    ["approx-1d", "--activation", "tanh", "--eps", "0.01"],
+    ["norm", "--model", "{model}"],
+    ["rewrite", "--model", "{model}", "--eps", "0.01"],
+    ["bounds", "--kind", "posterior", "--q", "2", "--d", "4", "--n", "1000",
+     "--activation", "sigmoid"],
+], ids=lambda argv: argv[0])
+def test_seed_changes_nothing_where_nothing_is_drawn(capsys, two_layer_file, argv):
+    argv = [a.replace("{model}", two_layer_file[0]) for a in argv]
+    first = run(capsys, *argv, "--seed", "0")
+    assert first[0] == 0
+    assert run(capsys, *argv, "--seed", "5") == first
+
+
+def test_empty_model_saves_loads_and_rewrites(capsys, tmp_path):
+    zero = tmp_path / "zero.json"  # output weights all 0: every rewritten unit is dropped
+    save_model(TwoLayerNet(np.zeros(3), np.ones((3, 2)), np.ones(3), sigmoid()), zero)
+    empty = tmp_path / "empty.json"
+    code, _, err = run(capsys, "rewrite", "--model", str(zero), "--eps", "0.01",
+                       "--save-model", str(empty))
+    assert code == 0, err
+    assert json.loads(empty.read_text())["units"] == []
+    code, out, err = run(capsys, "norm", "--model", str(empty))
+    assert (code, out) == (0, "kind,width,path_norm,modified_path_norm\ntwo_layer,0,0,0\n"), err
+    code, out, err = run(capsys, "rewrite", "--model", str(empty), "--save-model", str(empty))
+    assert code == 0, err
+    assert parse_csv(out)[1][0][:2] == ["0.01", "0"]
+    # the file holds no b_k, so the input dimension (2) is lost: train cannot use it
+    code, _, err = run(capsys, "train", "--target", str(empty), "--steps", "1")
+    assert code == 2 and "no input dimension" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "approx-1d")[0] == 2  # missing required flags
@@ -409,6 +443,10 @@ TANH_SPEC = {"f": "tanh(x)", "f1": "1 - tanh(x)**2", "f2": "-2*tanh(x)*(1 - tanh
     (["norm", "--model", "{data}"], json.dumps({
         "type": "two_layer", "activation": {"name": "swish", "params": {"beta": float("nan")}},
         "units": [[1.0, [1.0], 0.0]]})),
+    (["norm", "--model", "{data}"], json.dumps({
+        "type": "two_layer", "activation": {"name": "relu"}, "units": [[1, [[2]], 0]]})),
+    (["norm", "--model", "{data}"], json.dumps({
+        "type": "two_layer", "activation": {"name": "relu"}, "units": [[1, 2, 0]]})),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, data_text):
     data = tmp_path / "data.csv"

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from pathnorm.activations import catalog, custom_activation, leaky_relu, relu, sigmoid, swish
+from pathnorm.activations import (
+    catalog,
+    custom_activation,
+    leaky_relu,
+    relu,
+    sigmoid,
+    swish,
+    tanh,
+)
 from pathnorm.errors import ParseError
 from pathnorm.relu1d import approximate_activation, eval_relu1d
 from pathnorm.resnet import ResNet, eval_resnet, norm_closed
@@ -18,7 +26,7 @@ from pathnorm.serialize import (
     model_to_dict,
     save_model,
 )
-from pathnorm.twolayer import TwoLayerNet, eval_two_layer, path_norm
+from pathnorm.twolayer import TwoLayerNet, eval_two_layer, path_norm, rewrite_to_relu
 
 
 def test_activation_round_trip():
@@ -163,3 +171,45 @@ def test_builtin_activation_file_has_name_and_params_only():
 def test_non_numeric_activation_param():
     with pytest.raises(ParseError):
         activation_from_dict({"name": "swish", "params": {"beta": "abc"}})
+
+
+SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1.5, 0.1]
+
+# a custom spec with a non-ASCII name and % signs in its strings
+PERCENT_SPEC = dict(SIGMOID_NAMED_TANH, name="σ 100%s %d %%", note="%(units)s")
+
+
+def _zoo():
+    b = np.array(SPECIAL).reshape(2, 4)
+    for act in (relu(), sigmoid(), swish(2.0), leaky_relu(0.3), custom_activation(PERCENT_SPEC)):
+        yield act.label, TwoLayerNet(np.array(SPECIAL[:2]), b, np.array(SPECIAL[-2:]), act)
+    yield "width0", TwoLayerNet(np.zeros(0), np.zeros((0, 2)), np.zeros(0), relu())
+    yield "d0", TwoLayerNet(np.ones(3), np.zeros((3, 0)), np.array(SPECIAL[:3]), swish(0.5))
+    rng = make_rng(5)
+    net = TwoLayerNet(rng.normal(size=8), rng.normal(size=(8, 4)), rng.normal(size=8), tanh())
+    yield "tanh-rewrite-896", rewrite_to_relu(net, 1e-2)[0]
+    rng = make_rng(4)
+    yield "resnet", ResNet(rng.normal(size=(3, 3)), (rng.normal(size=(2, 3)),),
+                           (np.array([[np.nan, -0.0], [np.inf, 1e300], [5e-324, 2.0]]),),
+                           rng.normal(size=3), sigmoid(), 5.0)
+
+
+@pytest.mark.parametrize("model", [pytest.param(m, id=name) for name, m in _zoo()])
+def test_save_load_round_trip_on_one_line(model, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    text = path.read_text()
+    assert text == json.dumps(model_to_dict(model)) + "\n"
+    back = load_model(str(path))
+    # shortest-repr text: equal text is equal bits, -0.0, inf and nan included
+    assert json.dumps(model_to_dict(back)) + "\n" == text
+    if isinstance(model, TwoLayerNet):  # an empty net loses its d
+        assert back.b.shape == (model.b.shape if model.width else (0, 0))
+
+
+def test_failed_save_leaves_the_file(tmp_path):
+    path = tmp_path / "keep.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        save_model(object(), path)
+    assert path.read_text() == "old\n"
