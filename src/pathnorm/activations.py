@@ -228,9 +228,17 @@ def _swish_constants():
     return float(c1), float(c2)
 
 
+# gamma's quadrature under-reports swish's gamma above beta of about 1900
+# (1.30 at 2000, where the closed form gives 1.40); larger betas are refused
+# until gamma0 is computed without quadrature
+_SWISH_MAX_BETA = 1000.0
+
+
 def swish(beta: float = 1.0) -> Activation:
     if beta <= 0:
         raise ValueError("swish needs beta > 0")
+    if beta > _SWISH_MAX_BETA:
+        raise ValueError(f"swish needs beta <= {_SWISH_MAX_BETA:g}")
 
     def f(x):
         x = np.asarray(x, float)

@@ -50,11 +50,28 @@ class ApproxCertificate:
     grid_points: int
 
 
+def _rising_sum(a, b, g, t):
+    """sum_k a_k relu(b_k t + g_k) for slopes b_k > 0, from prefix sums over
+    the knots sorted once: O(log K) a query. Tied knots add in unit order."""
+    # knot may overflow to +-inf for subnormal slopes; searchsorted
+    # then treats the unit as active on the correct side anyway
+    with np.errstate(over="ignore"):
+        knots = -g / b
+    order = np.argsort(knots, kind="stable")
+    w = np.concatenate([[0.0], np.cumsum((a * b)[order])])
+    v = np.concatenate([[0.0], np.cumsum((a * g)[order])])
+    idx = np.searchsorted(knots[order], t, side="left")
+    return w[idx] * t + v[idx]
+
+
 def eval_relu1d(net: TwoLayerNet, t):
     """Evaluate a one-dimensional ReLU net at scalar or array t.
 
-    Units are bucketed by the sign of beta and turned into sorted knot
-    arrays with prefix sums, so a query costs O(log K) instead of O(K).
+    A falling unit (beta < 0) is a rising one on the reflected input,
+    relu(beta t + gamma) = relu((-beta)(-t) + gamma), so _rising_sum takes
+    both kinds, the falling ones on -t in reversed unit order: their knots
+    then add from the largest down, ties in reversed unit order, which is
+    the order of a suffix sum over the knots sorted upwards.
     Raises NotRelu1D for a net of another activation or input dimension.
     """
     act = net.activation
@@ -70,27 +87,10 @@ def eval_relu1d(net: TwoLayerNet, t):
             out += float(np.sum(a[flat] * np.maximum(g[flat], 0.0)))
         rising = b > 0
         if rising.any():
-            # knot may overflow to +-inf for subnormal slopes; searchsorted
-            # then treats the unit as active on the correct side anyway
-            with np.errstate(over="ignore"):
-                knots = -g[rising] / b[rising]
-            order = np.argsort(knots, kind="stable")
-            k = knots[order]
-            w = np.concatenate([[0.0], np.cumsum((a[rising] * b[rising])[order])])
-            v = np.concatenate([[0.0], np.cumsum((a[rising] * g[rising])[order])])
-            idx = np.searchsorted(k, tq, side="left")
-            out += w[idx] * tq + v[idx]
-        falling = b < 0
-        if falling.any():
-            with np.errstate(over="ignore"):
-                knots = -g[falling] / b[falling]
-            order = np.argsort(knots, kind="stable")
-            k = knots[order]
-            # suffix sums: unit active where t < knot
-            w = np.concatenate([np.cumsum((a[falling] * b[falling])[order][::-1])[::-1], [0.0]])
-            v = np.concatenate([np.cumsum((a[falling] * g[falling])[order][::-1])[::-1], [0.0]])
-            idx = np.searchsorted(k, tq, side="right")
-            out += w[idx] * tq + v[idx]
+            out += _rising_sum(a[rising], b[rising], g[rising], tq)
+        falling = np.flatnonzero(b < 0)[::-1]
+        if falling.size:
+            out += _rising_sum(a[falling], -b[falling], g[falling], -tq)
     out = out.reshape(t_in.shape)
     return float(out) if t_in.ndim == 0 else out
 
@@ -135,7 +135,7 @@ def _window_halfwidth(act: Activation, x_eps: float, eps: float) -> float:
 
 
 def _slope_units(xs, values, end_slope, orientation):
-    """Slope-increment units for one side of the interpolation.
+    """Slope-increment unit rows (alpha, beta, gamma) for one side of the interpolation.
 
     xs are knots walking away from the anchor, values the curved remainder
     there (values[0] == 0). The final increment is recomputed after pruning
@@ -143,20 +143,14 @@ def _slope_units(xs, values, end_slope, orientation):
     continues with the true asymptote slope beyond the last knot.
     """
     h = abs(xs[1] - xs[0])
-    slopes = np.diff(values) / h
-    deltas = np.concatenate([[0.0], slopes])
-    coeffs = np.diff(deltas)
-    units = []
-    kept = 0.0
-    for x_i, coeff in zip(xs[:-1], coeffs):
-        if abs(coeff) * (abs(x_i) + 1.0) < _PRUNE_TOL:
-            continue
-        units.append((coeff, orientation, -orientation * x_i))
-        kept += coeff
-    last = end_slope - kept
+    coeffs = np.diff(np.concatenate([[0.0], np.diff(values) / h]))
+    keep = ~(np.abs(coeffs) * (np.abs(xs[:-1]) + 1.0) < _PRUNE_TOL)
+    alpha, knots = coeffs[keep], xs[:-1][keep]
+    # cumsum adds left to right, from 0.0, as the kept sum is defined
+    last = end_slope - np.cumsum(np.concatenate([[0.0], alpha]))[-1]
     if last != 0.0:
-        units.append((last, orientation, -orientation * xs[-1]))
-    return units
+        alpha, knots = np.append(alpha, last), np.append(knots, xs[-1])
+    return np.column_stack([alpha, np.full(alpha.size, orientation), -orientation * knots])
 
 
 def _build_net(act, x_eps, d_left, d_right, t_half, n_panels):
@@ -164,34 +158,24 @@ def _build_net(act, x_eps, d_left, d_right, t_half, n_panels):
     c_slope, _ = act.asymptote_right
     f0 = float(act.f(x_eps))
     h = t_half / n_panels
-    units = []
 
     xs = x_eps + h * np.arange(n_panels + 1)
     f_right = np.asarray(act.f(xs), float) - f0 - d_right * (xs - x_eps)
-    units += _slope_units(xs, f_right, c_slope - d_right, 1.0)
-
     ys = x_eps - h * np.arange(n_panels + 1)
     f_left = np.asarray(act.f(ys), float) - f0 - d_left * (ys - x_eps)
-    units += _slope_units(ys, f_left, d_left - a_slope, -1.0)
 
     if act.kink:
-        x0 = x_eps
-        if d_right != 0.0:
-            units.append((d_right, 1.0, -x0))
-        if d_left != 0.0:
-            units.append((-d_left, -1.0, x0))
-        if f0 != 0.0:
-            units.append((np.sign(f0), 0.0, abs(f0)))
+        anchor = [(d_right, 1.0, -x_eps), (-d_left, -1.0, x_eps), (np.sign(f0), 0.0, abs(f0))]
     else:
-        slope = d_right
-        if slope != 0.0:
-            units.append((slope, 1.0, 0.0))
-            units.append((-slope, -1.0, 0.0))
-        const = f0 - x_eps * slope
-        if const != 0.0:
-            units.append((np.sign(const), 0.0, abs(const)))
-    alpha, beta, gam = np.array(units, float).reshape(-1, 3).T
-    return TwoLayerNet(alpha, beta[:, None], gam, act_mod.relu())
+        const = f0 - x_eps * d_right
+        anchor = [(d_right, 1.0, 0.0), (-d_right, -1.0, 0.0), (np.sign(const), 0.0, abs(const))]
+    anchor = np.array(anchor, float)
+    rows = np.concatenate([
+        _slope_units(xs, f_right, c_slope - d_right, 1.0),
+        _slope_units(ys, f_left, d_left - a_slope, -1.0),
+        anchor[anchor[:, 0] != 0.0],
+    ])
+    return TwoLayerNet(rows[:, 0], rows[:, 1:2], rows[:, 2], act_mod.relu())
 
 
 def _certified_sup(act, net, breaks):

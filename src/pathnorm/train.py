@@ -81,9 +81,15 @@ def gradient(net: TwoLayerNet, data: Dataset, lam: float):
     _, da, db, dc = _risk_gradient(net, data.inputs, data.targets)
     if lam != 0.0:
         da = da + lam * np.sign(net.a) * unit_weights(net.b, net.c)
-        db = db + lam * (np.abs(net.a)[:, None] * np.sign(net.b))
-        dc = dc + lam * np.abs(net.a) * np.sign(net.c)
+        db, dc = _add_bc_penalty(net, lam, db, dc)
     return da, db, dc
+
+
+def _add_bc_penalty(net: TwoLayerNet, lam: float, db, dc):
+    """(db, dc) plus lam times the modified path norm's subgradient in b
+    and c; `fit` steps with it and `gradient` returns it."""
+    a_abs = np.abs(net.a)
+    return db + lam * (a_abs[:, None] * np.sign(net.b)), dc + lam * a_abs * np.sign(net.c)
 
 
 def init_two_layer(d: int, m: int, act: Activation, seed: int = 0) -> TwoLayerNet:
@@ -142,16 +148,11 @@ def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
             take = order[cursor : cursor + cfg.batch]
             cursor += cfg.batch
             _, da, db, dc = _risk_gradient(net, data.inputs[take], data.targets[take])
-        a, b, c = net.a, net.b, net.c
+        a = net.a - s * da
         if cfg.lam != 0.0:
-            a_abs = np.abs(a)
-            db = db + cfg.lam * (a_abs[:, None] * np.sign(b))
-            dc = dc + cfg.lam * a_abs * np.sign(c)
-            thresholds = s * cfg.lam * unit_weights(b, c)
-            a = _soft_threshold(a - s * da, thresholds)
-        else:
-            a = a - s * da
-        net = TwoLayerNet(a, b - s * db, c - s * dc, net.activation)
+            db, dc = _add_bc_penalty(net, cfg.lam, db, dc)
+            a = _soft_threshold(a, s * cfg.lam * unit_weights(net.b, net.c))
+        net = TwoLayerNet(a, net.b - s * db, net.c - s * dc, net.activation)
     return best, np.array(trace)
 
 

@@ -127,10 +127,11 @@ def rewrite_to_relu(net: TwoLayerNet, eps: float, seed: int = 0):
     Both hold in exact arithmetic, and only if the activation's f1 and f2
     are the derivatives of its f, as gamma and the certificate assume.
     """
-    # seed is ignored; perfbench/inproc.py:199 is the only caller that passes it
+    # seed is ignored; perfbench/inproc.py's rewrite jobs and acceptance
+    # criterion 5 pass it
     from .relu1d import approximate_activation  # at call time: relu1d imports this module
     g_net, cert = approximate_activation(net.activation, eps)
-    alpha, beta, gam = g_net.units.T
+    alpha, beta, gam = g_net.a, g_net.b[:, 0], g_net.c
 
     new_a = np.outer(net.a, alpha).ravel()
     new_b = (net.b[:, None, :] * beta[None, :, None]).reshape(new_a.size, net.input_dim)

@@ -61,6 +61,20 @@ def test_swish_gamma(beta):
     assert A.gamma(act) == pytest.approx(act.closed_form_gamma, abs=1e-6)
 
 
+@pytest.mark.parametrize("beta", np.logspace(-2, 3, 11))
+def test_swish_gamma_matches_closed_form_up_to_max_beta(beta):
+    # quadrature drops below the closed form above beta of about 1900,
+    # so swish refuses beta above 1000
+    act = swish(float(beta))
+    assert A.gamma(act) == pytest.approx(act.closed_form_gamma, abs=1e-9)
+
+
+def test_swish_refuses_beta_above_1000():
+    assert by_name("swish:beta=1000").params == {"beta": 1000.0}
+    with pytest.raises(ParseError, match="beta <= 1000"):
+        by_name("swish:beta=1001")
+
+
 def test_swish_root_literal_is_brentqs_root():
     # swish is built from the literal so that it loads no root-finder
     from scipy import optimize

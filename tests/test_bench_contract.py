@@ -1,0 +1,70 @@
+"""The benchmark's in-process workloads run on this checkout.
+
+perfbench/run.py counts a job that raises as failed and then exits 1, so
+a change that breaks a workload, or the traced run's span counts, fails
+the benchmark. This runs a cycle of sweep untraced and traced, a traced
+cycle of rewrite and two train jobs, in about a second. run.py itself is
+not imported: it re-executes the interpreter when imported.
+"""
+
+import pickle
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import inproc
+        import tracing
+    finally:
+        sys.path.remove(PERFBENCH)
+    return inproc, tracing
+
+
+def run_jobs(wl, jobs, tracer=None):
+    outputs = []
+    for i in jobs:
+        if tracer is not None:
+            tracer.job = i
+        outputs.append(wl.job(i, tracer))
+    return outputs
+
+
+def traced_cycle(bench, wl):
+    inproc, tracing = bench
+    tracer = tracing.Tracer()
+    with tracer.interposed(inproc.LAYERS):
+        outputs = run_jobs(wl, range(wl.cycle), tracer)
+    return outputs, tracing.layer_stats(tracer.spans)
+
+
+def test_sweep_cycle_untraced_then_traced(bench, tmp_path):
+    inproc, _ = bench
+    wl = inproc.Sweep(11, str(tmp_path))
+    plain = run_jobs(wl, range(wl.cycle))
+    traced, stats = traced_cycle(bench, wl)
+    # tracing only watches: the second run of each job gives the same outputs
+    assert pickle.dumps(traced) == pickle.dumps(plain)
+    approx = stats["relu1d.approximate_activation"]
+    assert approx["calls"] == wl.cycle
+    assert all(s["counts"]["candidates"] >= 1 for s in approx["spans"])
+
+
+def test_rewrite_cycle_traced(bench, tmp_path):
+    inproc, _ = bench
+    wl = inproc.Rewrite(11, str(tmp_path))
+    _, stats = traced_cycle(bench, wl)
+    assert stats["twolayer.rewrite_to_relu"]["calls"] == wl.pattern.count("rewrite")
+
+
+def test_train_fit_and_apriori_jobs(bench, tmp_path):
+    inproc, _ = bench
+    wl = inproc.Train(11, str(tmp_path))
+    assert [wl.kind(i) for i in (0, 4)] == ["fit", "apriori"]
+    run_jobs(wl, (0, 4))

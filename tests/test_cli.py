@@ -272,6 +272,14 @@ def test_train_from_csv(capsys, tmp_path):
     assert json.loads(out)[0]["n"] == 32
 
 
+def test_train_csv_header_error_names_the_line(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x0,z\n0.5,0.5\n")
+    code, _, err = run(capsys, "train", "--data", str(data))
+    assert code == 2
+    assert err == "error: last data column must be named y (line 1)\n"
+
+
 def test_train_needs_exactly_one_source(capsys, two_layer_file, tmp_path):
     path, _ = two_layer_file
     code, _, err = run(capsys, "train")
@@ -447,6 +455,8 @@ TANH_SPEC = {"f": "tanh(x)", "f1": "1 - tanh(x)**2", "f2": "-2*tanh(x)*(1 - tanh
         "type": "two_layer", "activation": {"name": "relu"}, "units": [[1, [[2]], 0]]})),
     (["norm", "--model", "{data}"], json.dumps({
         "type": "two_layer", "activation": {"name": "relu"}, "units": [[1, 2, 0]]})),
+    (["bounds", "--kind", "rad-two-layer", "--d", "4", "--n", "100",
+      "--activation", "swish:beta=1001"], None),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, two_layer_file, argv, data_text):
     data = tmp_path / "data.csv"

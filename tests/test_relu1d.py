@@ -69,6 +69,51 @@ def test_eval_matches_direct_sum(units, points):
     assert np.allclose(eval_relu1d(net, t), expected, rtol=1e-12, atol=1e-12)
 
 
+def test_eval_tied_knots_pinned():
+    # three rising and three falling units share the knot 0.5, next to a
+    # flat unit; tied knots are summed in a fixed order (see eval_relu1d),
+    # so these are exact bits, not a tolerance
+    net = net_of((1.0, 1.0, -0.5), (0.1, 2.0, -1.0), (0.7, 3.0, 3.0), (-0.3, 0.5, -0.25),
+                 (0.25, 0.0, 0.3),
+                 (0.2, -1.0, 0.5), (1 / 3, -2.0, 1.0), (0.9, -1.0, -1.0), (-0.7, -0.5, 0.25))
+    t = [-2.0, -1.0, -0.0, 0.0, 0.3, 0.5, 0.7, 1.1, 3.0]
+    expected = ["0x1.2222222222222p+1", "0x1.b333333333332p-1", "0x1.3777777777777p+1",
+                "0x1.3777777777777p+1", "0x1.7444444444444p+1", "0x1.9ccccccccccccp+1",
+                "0x1.ed70a3d70a3d6p+1", "0x1.475c28f5c28f6p+2", "0x1.6333333333332p+3"]
+    assert [float(v).hex() for v in eval_relu1d(net, t)] == expected
+    assert [eval_relu1d(net, x).hex() for x in t] == expected
+
+
+def slope_units_loop(xs, values, end_slope, orientation):
+    """The per-knot loop relu1d._slope_units replaced, kept as its reference."""
+    h = abs(xs[1] - xs[0])
+    coeffs = np.diff(np.concatenate([[0.0], np.diff(values) / h]))
+    units, kept = [], 0.0
+    for x_i, coeff in zip(xs[:-1], coeffs):
+        if abs(coeff) * (abs(x_i) + 1.0) < relu1d._PRUNE_TOL:
+            continue
+        units.append((coeff, orientation, -orientation * x_i))
+        kept += coeff
+    last = end_slope - kept
+    if last != 0.0:
+        units.append((last, orientation, -orientation * xs[-1]))
+    return np.array(units, float).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_slope_units_match_the_loop(seed):
+    # linear stretches give increments at and around the pruning tolerance
+    rng = np.random.default_rng(seed)
+    n, orientation = int(rng.integers(2, 40)), float(rng.choice([-1.0, 1.0]))
+    xs = rng.normal() + orientation * 0.25 * np.arange(n + 1)
+    steps = np.where(rng.uniform(size=n) < 0.5, 0.5, rng.normal(size=n))
+    steps += rng.choice([0.0, 1e-17, -3e-16, 1e-15], size=n)
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    end_slope = float(rng.choice([0.0, 1.0, rng.normal()]))
+    got = relu1d._slope_units(xs, values, end_slope, orientation)
+    assert got.tobytes() == slope_units_loop(xs, values, end_slope, orientation).tobytes()
+
+
 def test_relu_approximates_itself():
     net, cert = approximate_activation(relu(), 1e-3)
     assert net.units.shape == (1, 3)

@@ -156,6 +156,24 @@ def test_full_batch_fit_evaluates_each_iterate_once():
         assert len(calls) == steps + 1
 
 
+def test_fit_steps_with_the_tested_gradient():
+    # one full-batch step by hand: b and c move by `gradient`, the
+    # subgradient acceptance criterion 9 checks, and a takes the proximal
+    # step on the risk-only da, which here zeroes two of the eight units
+    data = atom_dataset(4)
+    net = init_two_layer(2, 8, sigmoid(), seed=4)
+    lam, s = 0.1, 0.1
+    da_risk, _, _ = gradient(net, data, 0.0)
+    _, db, dc = gradient(net, data, lam)
+    v = net.a - s * da_risk
+    thresholds = s * lam * (np.abs(net.b).sum(axis=1) + np.abs(net.c) + 1.0)
+    a1 = np.sign(v) * np.maximum(np.abs(v) - thresholds, 0.0)
+    assert np.count_nonzero(a1) == 6
+    net1 = TwoLayerNet(a1, net.b - s * db, net.c - s * dc, net.activation)
+    _, trace = fit(data, TrainConfig(steps=1, step_size=s, lam=lam), net)
+    assert trace[1] == objective(net1, data, lam)
+
+
 def test_fit_rejects_mismatched_dimensions():
     init = init_two_layer(3, 4, sigmoid())
     for batch in (None, 2):
