@@ -359,10 +359,12 @@ def custom_activation(raw, source: str = "activation spec") -> Activation:
 
 # Integrating |f''|(|x|+1) by parts over [X, inf) against the asymptote
 # (c, d) gives exactly |(c - d) - (f'(X)(X+1) - f(X))| whenever f'' keeps
-# one sign out there. The same estimate drives the window search, so a
-# polynomially growing f walks the window to the cap and is rejected.
+# one sign out there. The same estimate drives the one window search:
+# gamma's window is centred on 0 with tail at most 1e-6, the approximant's
+# on its anchor with tail at most eps/32. A polynomially growing f walks
+# the window to the cap and is rejected.
 #
-# The quadrature policy is fixed: a window whose tail is below 1e-6, and
+# The quadrature policy is fixed: a window whose tail is at most 1e-6, and
 # scipy's quad at abs and rel tolerance 1e-8 with up to 10 000 subdivisions
 # per panel. Every certificate (approximant, rewrite, c = 4 gamma + 1,
 # c_sigma, lambda_n, a-priori bound) starts from gamma, so there is one way
@@ -389,17 +391,19 @@ def _sign_stable(act: Activation, x: float) -> bool:
     return True
 
 
-def integration_window(act: Activation) -> float:
-    """Smallest doubling window [-X, X] whose weighted tail is negligible."""
-    reach = abs(act.kink[0]) if act.kink else 0.0
-    x = 8.0
-    while x <= _MAX_WINDOW:
-        if x > reach:
-            tail = tail_weight(act, x, -x)
-            if np.isfinite(tail) and tail < 1e-6 and _sign_stable(act, x):
-                return x
-        x *= 2.0
-    raise NonIntegrable(f"weighted curvature tail of {act.label} does not decay")
+def integration_window(act: Activation, center: float = 0.0, tol: float = 1e-6) -> float:
+    """Smallest doubling half-width t > max(|center|, |kink|) whose window
+    [center - t, center + t] has weighted tail at most tol and f'' of one
+    sign beyond both ends."""
+    reach = max(abs(center), abs(act.kink[0]) if act.kink else 0.0)
+    t = 8.0
+    while t <= _MAX_WINDOW:
+        if t > reach:
+            hi, lo = center + t, center - t
+            if tail_weight(act, hi, lo) <= tol and _sign_stable(act, min(hi, -lo)):
+                return t
+        t *= 2.0
+    raise NonIntegrable(f"weighted curvature tail of {act.label} stays above {tol:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +414,11 @@ def curvature_breaks(act: Activation, ends) -> list:
     """Sorted points cutting [min(ends), max(ends)] into pieces on which f
     is smooth and f'' keeps one sign: the ends, the kink if it lies strictly
     between them, and each sign change of f'' on a piece between those,
-    found on a 4097-point grid and refined by brentq. scipy.optimize is
-    imported here, at the first call, so a command that computes no gamma
-    and builds no approximant never loads it."""
+    found between consecutive nonzero samples of a 4097-point grid: the
+    first zero sample between the two if there is one, else refined by
+    brentq. scipy.optimize is imported here, at the first call, so a
+    command that computes no gamma and builds no approximant never loads
+    it."""
     from scipy import optimize
 
     breaks = set(ends)
@@ -421,9 +427,13 @@ def curvature_breaks(act: Activation, ends) -> list:
     pieces = sorted(breaks)
     for lo, hi in zip(pieces[:-1], pieces[1:]):
         xs = np.linspace(lo, hi, 4097)
-        sign = np.sign(np.asarray(act.f2(xs), float))
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            breaks.add(optimize.brentq(lambda t: float(act.f2(t)), xs[i], xs[i + 1], xtol=1e-12))
+        f2 = np.asarray(act.f2(xs), float)
+        nonzero = np.flatnonzero((f2 > 0.0) | (f2 < 0.0))  # a nan sample counts as a zero
+        positive = f2[nonzero] > 0.0
+        flips = np.flatnonzero(positive[:-1] != positive[1:])
+        for i, j in zip(nonzero[flips], nonzero[flips + 1]):
+            breaks.add(float(xs[i + 1]) if j > i + 1 else
+                       optimize.brentq(lambda t: float(act.f2(t)), xs[i], xs[j], xtol=1e-12))
     return sorted(breaks)
 
 

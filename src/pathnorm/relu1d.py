@@ -11,7 +11,10 @@ The construction anchors at a point x_eps where the linear-part cost g(x_eps)
 is within eps of its infimum (the kink itself for one-kink
 activations), interpolates the curved remainder on [x_eps - T, x_eps + T]
 with uniform knots and slope-increment units, and continues with the exact
-asymptote slopes outside the window.
+asymptote slopes outside the window. T comes from gamma's window search,
+activations.integration_window, centred on x_eps at tolerance eps/32: by
+parts, that weighted curvature tail also bounds |f - l| at the window's
+ends, l the asymptote line.
 
 The sup is not sampled. g is linear between its kinks, so inside the window
 the sup is exact: the largest error at the kinks, at the zeros of f'' and
@@ -61,7 +64,8 @@ def _rising_sum(a, b, g, t):
     w = np.concatenate([[0.0], np.cumsum((a * b)[order])])
     v = np.concatenate([[0.0], np.cumsum((a * g)[order])])
     idx = np.searchsorted(knots[order], t, side="left")
-    return w[idx] * t + v[idx]
+    # no unit is active below the first knot: 0, not 0 * t, which is nan at -inf
+    return w[idx] * np.where(idx == 0, 0.0, t) + v[idx]
 
 
 def eval_relu1d(net: TwoLayerNet, t):
@@ -112,26 +116,6 @@ def _pick_anchor(act: Activation, eps: float):
             slope = float(act.f1(x))
             return x, slope, slope
     raise NoConvergence(f"no anchor with g within {eps / 4:g} of the infimum for {act.label}")
-
-
-def _window_halfwidth(act: Activation, x_eps: float, eps: float) -> float:
-    a, b = act.asymptote_left
-    c, d = act.asymptote_right
-    t = 8.0
-    while t <= abs(x_eps):
-        t *= 2.0
-    while t <= 2.0**30:
-        hi, lo = x_eps + t, x_eps - t
-        asym_err = max(
-            abs(float(act.f(hi)) - (c * hi + d)),
-            abs(float(act.f(lo)) - (a * lo + b)),
-        )
-        tails = act_mod.tail_weight(act, hi, lo)
-        # _certified_sup needs f'' of one sign beyond both edges
-        if asym_err <= eps / 8.0 and tails <= eps / 32.0 and act_mod._sign_stable(act, min(hi, -lo)):
-            return t
-        t *= 2.0
-    raise NoConvergence(f"no window captures the tails of {act.label} at eps={eps:g}")
 
 
 def _slope_units(xs, values, end_slope, orientation):
@@ -223,7 +207,7 @@ def approximate_activation(act: Activation, eps: float):
     gamma_ref = act_mod.gamma(act)
 
     x_eps, d_left, d_right = _pick_anchor(act, eps)
-    t_half = _window_halfwidth(act, x_eps, eps)
+    t_half = act_mod.integration_window(act, x_eps, eps / 32.0)
     lo, hi = x_eps - t_half, x_eps + t_half
     breaks = act_mod.curvature_breaks(act, (lo, hi))
 

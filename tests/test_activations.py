@@ -252,13 +252,48 @@ def test_multiple_singular_points_rejected():
 @pytest.mark.parametrize("act", catalog() + [swish(0.2), swish(5.0)], ids=lambda a: a.label)
 def test_curvature_breaks_leave_one_sign_per_piece(act):
     window = A.integration_window(act)
-    breaks = A.curvature_breaks(act, (-window, 0.0, window))
-    assert breaks == sorted(set(breaks))
-    assert breaks[0] == -window and breaks[-1] == window and 0.0 in breaks
-    assert not act.kink or act.kink[0] in breaks
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        vals = np.asarray(act.f2(np.linspace(lo, hi, 66)[1:-1]), float)
-        assert (vals >= 0).all() or (vals <= 0).all(), (lo, hi)
+    for ends in ((-window, 0.0, window), (-window, -0.75), (0.3, window), (-3.7, 5.1), (-8.0, 8.0)):
+        breaks = A.curvature_breaks(act, ends)
+        assert breaks == sorted(set(breaks))
+        assert breaks[0] == min(ends) and breaks[-1] == max(ends) and set(ends) <= set(breaks)
+        assert not (act.kink and min(ends) < act.kink[0] < max(ends)) or act.kink[0] in breaks
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            vals = np.asarray(act.f2(np.linspace(lo, hi, 66)[1:-1]), float)
+            assert (vals >= 0).all() or (vals <= 0).all(), (ends, lo, hi)
+
+
+@pytest.mark.parametrize("ref, interior", [
+    ("sigmoid", [0.0]),
+    ("tanh", [0.0]),
+    ("gelu", [-math.sqrt(2.0), math.sqrt(2.0)]),
+    ("swish:beta=1", [-A._SWISH_T2, A._SWISH_T2]),
+    ("swish:beta=5", [-A._SWISH_T2 / 5.0, A._SWISH_T2 / 5.0]),
+    ("softplus", []),
+    ("elu:alpha=1", []),
+])
+def test_curvature_breaks_pinned(ref, interior):
+    # on (-8, 8) the 4097-point grid has a sample at 0, where f'' of sigmoid
+    # and tanh is exactly 0: the sign change lies between its neighbours
+    breaks = A.curvature_breaks(by_name(ref), (-8.0, 8.0))
+    assert breaks[0] == -8.0 and breaks[-1] == 8.0
+    assert breaks[1:-1] == pytest.approx(interior, abs=1e-11)
+
+
+# the window each catalog activation's gamma integrates over
+CATALOG_WINDOWS = {
+    "relu": 8.0,
+    "leaky_relu:lam=0.1": 8.0,
+    "sigmoid": 32.0,
+    "tanh": 16.0,
+    "elu:alpha=1": 32.0,
+    "gelu": 8.0,
+    "softplus": 32.0,
+    "swish:beta=1": 32.0,
+}
+
+
+def test_integration_window_pinned():
+    assert {act.label: A.integration_window(act) for act in catalog()} == CATALOG_WINDOWS
 
 
 def test_quadratic_is_nonintegrable():

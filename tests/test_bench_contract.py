@@ -2,9 +2,10 @@
 
 perfbench/run.py counts a job that raises as failed and then exits 1, so
 a change that breaks a workload, or the traced run's span counts, fails
-the benchmark. This runs a cycle of sweep untraced and traced, a traced
-cycle of rewrite and two train jobs, in about a second. run.py itself is
-not imported: it re-executes the interpreter when imported.
+the benchmark. This runs a cycle of sweep untraced and traced, the
+sweep jobs over every stratum, a traced cycle of rewrite and two train
+jobs, in about two seconds. run.py itself is not imported: it
+re-executes the interpreter when imported.
 """
 
 import pickle
@@ -54,6 +55,16 @@ def test_sweep_cycle_untraced_then_traced(bench, tmp_path):
     approx = stats["relu1d.approximate_activation"]
     assert approx["calls"] == wl.cycle
     assert all(s["counts"]["candidates"] >= 1 for s in approx["spans"])
+
+
+def test_sweep_every_stratum(bench, tmp_path):
+    # 16 strata of 15 jobs, one per (source, eps) pair, walk every draw
+    # range a sweep run covers; the traced run takes log2(partition / 64)
+    inproc, _ = bench
+    wl = inproc.Sweep(11, str(tmp_path))
+    for out in run_jobs(wl, range(inproc.STRATA * wl.cycle)):
+        n = out["cert"]["partition_size"]
+        assert n >= 64 and n == 64 << ((n // 64).bit_length() - 1), n
 
 
 def test_rewrite_cycle_traced(bench, tmp_path):

@@ -84,6 +84,17 @@ def test_eval_tied_knots_pinned():
     assert [eval_relu1d(net, x).hex() for x in t] == expected
 
 
+@pytest.mark.parametrize("units, expected", [
+    ([(1, 1, 0)], [0.0, np.inf]),
+    ([(1, -1, 0)], [np.inf, 0.0]),
+    ([(2, 1, -1), (1, -3, 2), (0.5, 0, 1)], [np.inf, np.inf]),
+    ([(-1, 1, 0), (1, -1, 0)], [np.inf, -np.inf]),
+], ids=["rising", "falling", "mixed with a flat unit", "mixed, -t"])
+def test_eval_at_infinity(units, expected):
+    # the side with no active unit adds 0, not 0 * inf
+    assert eval_relu1d(net_of(*units), [-np.inf, np.inf]).tolist() == expected
+
+
 def slope_units_loop(xs, values, end_slope, orientation):
     """The per-knot loop relu1d._slope_units replaced, kept as its reference."""
     h = abs(xs[1] - xs[0])
@@ -148,17 +159,20 @@ def test_wide_grid_error_and_far_behavior(act):
     assert slope_left == pytest.approx(act.asymptote_left[0], abs=1e-12)
 
 
-# partition sizes the construction reached when a 2^20-point grid judged each
-# candidate; a certified sup never below that grid's can only stop later
-BUILTIN_PARTITIONS = {
-    "relu": (64, 64, 64),
-    "leaky_relu:lam=0.1": (64, 64, 64),
-    "sigmoid": (64, 64, 128),
-    "tanh": (64, 64, 256),
-    "elu:alpha=1": (64, 128, 512),
-    "gelu": (64, 64, 256),
-    "softplus": (64, 64, 256),
-    "swish:beta=1": (64, 128, 256),
+# (anchor, window_halfwidth, partition_size) of each built-in at ORACLE_EPS.
+# The partition sizes are those the construction reached when a 2^20-point
+# grid judged each candidate; a certified sup never below that grid's can
+# only stop later. The windows pin activations.integration_window, centred
+# on the anchor at tolerance eps/32.
+BUILTIN_CERTS = {
+    "relu": ((0.0, 8.0, 64), (0.0, 8.0, 64), (0.0, 8.0, 64)),
+    "leaky_relu:lam=0.1": ((0.0, 8.0, 64), (0.0, 8.0, 64), (0.0, 8.0, 64)),
+    "sigmoid": ((-8.0, 32.0, 64), (-16.0, 32.0, 64), (-16.0, 32.0, 128)),
+    "tanh": ((-4.0, 16.0, 64), (-8.0, 16.0, 64), (-8.0, 16.0, 256)),
+    "elu:alpha=1": ((-8.0, 16.0, 64), (-16.0, 32.0, 128), (-16.0, 32.0, 512)),
+    "gelu": ((-4.0, 8.0, 64), (-8.0, 16.0, 64), (-8.0, 16.0, 256)),
+    "softplus": ((-8.0, 32.0, 64), (-16.0, 32.0, 64), (-16.0, 32.0, 256)),
+    "swish:beta=1": ((-16.0, 32.0, 64), (-16.0, 32.0, 128), (-16.0, 32.0, 256)),
 }
 ORACLE_EPS = (1e-1, 1e-2, 1e-3)
 
@@ -186,7 +200,7 @@ def tanh_file(tmp_path, p=1.3, q=0.7):
 
 
 @pytest.mark.parametrize("eps_index", range(len(ORACLE_EPS)))
-@pytest.mark.parametrize("ref", [*BUILTIN_PARTITIONS, "swish:beta=0.6", "swish:beta=1.7",
+@pytest.mark.parametrize("ref", [*BUILTIN_CERTS, "swish:beta=0.6", "swish:beta=1.7",
                                  "elu:alpha=0.55", "elu:alpha=1.7", "file:tanh"])
 def test_certified_sup_against_dense_grid(ref, eps_index, tmp_path):
     act = tanh_file(tmp_path) if ref == "file:tanh" else A.by_name(ref)
@@ -195,8 +209,8 @@ def test_certified_sup_against_dense_grid(ref, eps_index, tmp_path):
     oracle = dense_grid_error(act, net, cert)
     assert oracle <= cert.sup_error_measured <= eps
     assert cert.sup_error_measured == pytest.approx(oracle, rel=1e-5)
-    if ref in BUILTIN_PARTITIONS:
-        assert cert.partition_size == BUILTIN_PARTITIONS[ref][eps_index]
+    if ref in BUILTIN_CERTS:
+        assert (cert.anchor, cert.window_halfwidth, cert.partition_size) == BUILTIN_CERTS[ref][eps_index]
 
 
 def test_certified_sup_finds_the_peak_inside_a_panel():
@@ -268,3 +282,13 @@ def test_no_convergence_when_knot_budget_exhausted(monkeypatch):
     monkeypatch.setattr(relu1d, "_MAX_KNOTS", 128)
     with pytest.raises(NoConvergence):
         approximate_activation(tanh(), 1e-6)
+
+
+def test_no_window_raises_nonintegrable(monkeypatch):
+    # gamma's window for tanh is 16; capped at 8, no window has a tail of
+    # at most eps/32
+    act = tanh()
+    A.gamma(act)
+    monkeypatch.setattr(A, "_MAX_WINDOW", 8.0)
+    with pytest.raises(NonIntegrable, match=r"tanh stays above 3\.125e-08"):
+        approximate_activation(act, 1e-6)
