@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import NoAsymptote, NonIntegrable, ParseError, load_json
 from .expressions import ExprError, compile_expr
@@ -86,6 +85,25 @@ class GammaParts(NamedTuple):
 # catalog
 
 
+def logistic(x):
+    """1 / (1 + exp(-x)) on float64, elementwise, in numpy alone: within
+    4 ulp of scipy.special.expit wherever expit >= 1e-300. The exponent is
+    capped at 709, so no overflow warning is raised and below x = -709 the
+    value is 1/(1 + e^709), about 1.2e-308, where expit gives 0 or a
+    subnormal. A scalar gives a scalar, an array an array of its shape,
+    nan gives nan. x goes to np.maximum as given: an np.asarray first
+    would make each scalar call, hundreds per gamma quadrature, about half
+    again as slow.
+    """
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -709.0)))
+
+
+def _logistic_slope(x):
+    """s (1 - s) for s = logistic(x): sigmoid's f' and softplus's f''."""
+    s = logistic(x)
+    return s * (1.0 - s)
+
+
 def relu() -> Activation:
     return Activation(
         name="relu",
@@ -118,18 +136,14 @@ def leaky_relu(lam: float = 0.1) -> Activation:
 
 
 def sigmoid() -> Activation:
-    def f1(x):
-        s = special.expit(x)
-        return s * (1.0 - s)
-
     def f2(x):
-        s = special.expit(x)
+        s = logistic(x)
         return s * (1.0 - s) * (1.0 - 2.0 * s)
 
     return Activation(
         name="sigmoid",
-        f=special.expit,
-        f1=f1,
+        f=logistic,
+        f1=_logistic_slope,
         f2=f2,
         asymptote_left=(0.0, 0.0),
         asymptote_right=(0.0, 1.0),
@@ -181,6 +195,8 @@ def elu(alpha: float = 1.0) -> Activation:
 
 
 def gelu() -> Activation:
+    from scipy import special  # for ndtr; only gelu and erf specs need scipy outside gamma
+
     def phi(x):
         return np.exp(-0.5 * x * x) / _SQRT_2PI
 
@@ -202,8 +218,8 @@ def softplus() -> Activation:
     return Activation(
         name="softplus",
         f=lambda x: np.logaddexp(0.0, x),
-        f1=special.expit,
-        f2=sigmoid().f1,
+        f1=logistic,
+        f2=_logistic_slope,
         asymptote_left=(0.0, 0.0),
         asymptote_right=(1.0, 0.0),
         closed_form_gamma=1.0 + 2.0 * np.log(2.0),
@@ -221,7 +237,7 @@ def _swish_constants():
     t2 = _SWISH_T2 is the literal root, so building swish runs no root-finder.
     """
     t2 = _SWISH_T2
-    s = special.expit(t2)
+    s = logistic(t2)
     sp = s * (1.0 - s)
     c1 = 4.0 * t2 * t2 * sp
     c2 = 2.0 * (2.0 * t2 * sp + 2.0 * s - 1.0)
@@ -242,16 +258,16 @@ def swish(beta: float = 1.0) -> Activation:
 
     def f(x):
         x = np.asarray(x, float)
-        return x * special.expit(beta * x)
+        return x * logistic(beta * x)
 
     def f1(x):
         x = np.asarray(x, float)
-        s = special.expit(beta * x)
+        s = logistic(beta * x)
         return s * (1.0 + beta * x * (1.0 - s))
 
     def f2(x):
         x = np.asarray(x, float)
-        s = special.expit(beta * x)
+        s = logistic(beta * x)
         return beta * s * (1.0 - s) * (2.0 + beta * x * (1.0 - 2.0 * s))
 
     c1, c2 = _swish_constants()
@@ -416,9 +432,9 @@ def curvature_breaks(act: Activation, ends) -> list:
     between them, and each sign change of f'' on a piece between those,
     found between consecutive nonzero samples of a 4097-point grid: the
     first zero sample between the two if there is one, else refined by
-    brentq. scipy.optimize is imported here, at the first call, so a
-    command that computes no gamma and builds no approximant never loads
-    it."""
+    brentq. scipy.optimize is imported here, at the first call: the
+    package imports no scipy at load, so a command that computes no gamma,
+    builds no approximant and builds no gelu or erf spec never loads it."""
     from scipy import optimize
 
     breaks = set(ends)

@@ -3,14 +3,14 @@
 Grammar: Python expression syntax restricted to the variable ``x``, numeric
 literals, the constants ``pi`` and ``e``, the operators ``+ - * / **`` and
 unary minus, the functions exp, ln, log, abs, erf, sqrt, tanh, sign of one
-argument, and max, min of two. Everything is evaluated with numpy so compiled
-callables accept scalars and arrays alike.
+argument, and max, min of two. Every function is a numpy ufunc, so compiled
+callables accept scalars and arrays alike. All but erf are numpy's own;
+erf is scipy.special's, and scipy is imported only when a spec calls it.
 """
 
 import ast
 
 import numpy as np
-from scipy import special
 
 _FUNCTIONS = {
     "exp": np.exp,
@@ -19,7 +19,7 @@ _FUNCTIONS = {
     "abs": np.abs,
     "max": np.maximum,
     "min": np.minimum,
-    "erf": special.erf,
+    "erf": None,  # scipy.special.erf, imported by _build when a spec calls it
     "sqrt": np.sqrt,
     "tanh": np.tanh,
     "sign": np.sign,
@@ -72,9 +72,11 @@ def _build(node):
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.keywords:
             raise ExprError("only plain calls to named functions are allowed")
-        fn = _FUNCTIONS.get(node.func.id)
-        if fn is None:
+        if node.func.id not in _FUNCTIONS:
             raise ExprError(f"unknown function {node.func.id!r}")
+        fn = _FUNCTIONS[node.func.id]
+        if fn is None:
+            from scipy.special import erf as fn
         # every function is a numpy ufunc, so nin is its arity; a surplus
         # argument would otherwise reach numpy as the `out` array
         if len(node.args) != fn.nin:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from pathnorm import activations as A
 from pathnorm.activations import (
@@ -81,6 +81,23 @@ def test_swish_root_literal_is_brentqs_root():
 
     t2 = optimize.brentq(lambda t: np.exp(-t) - (t - 2.0) / (t + 2.0), 2.0 + 1e-9, 10.0)
     assert t2 == A._SWISH_T2
+
+
+def test_logistic_against_expit():
+    # scipy's expit is the oracle for the numpy logistic of sigmoid, softplus and swish
+    tiny = np.finfo(float).smallest_subnormal
+    specials = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 708.9, -708.9,
+                709.0, -709.0, 709.1, -709.1, 745.2, -745.2]
+    xs = np.concatenate([np.linspace(-745.0, 745.0, 1_000_001),
+                         np.random.default_rng(0).uniform(-40.0, 40.0, 1_000_000), specials])
+    got, want = A.logistic(xs), expit(xs)
+    normal = want >= 1e-300
+    assert np.all(np.abs(got[normal] - want[normal]) <= 4 * np.spacing(want[normal]))
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1.3e-308)
+    assert np.all(np.diff(A.logistic(np.linspace(-800.0, 800.0, 2_000_001))) >= 0.0)
+    assert np.isnan(A.logistic(np.nan)) and np.isnan(A.logistic([1.0, np.nan])[1])
+    assert isinstance(A.logistic(0.5), float)
+    assert A.logistic(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_relu_gamma_is_exactly_one():

@@ -182,30 +182,45 @@ def test_rad_check_relu_bound_is_rad_bound_relu(capsys):
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 NO_GAMMA_RUN = """
-import sys
+import math, sys
 from pathnorm import activations, cli
-activations.catalog()
+from pathnorm.expressions import compile_expr
+relu_two, swish_two, sigmoid_two, resnet = sys.argv[1:]
 argvs = [["rad-check", "--family", "relu", "--candidates", "4", "--sign-draws", "8"],
-         ["bounds", "--kind", "rad-relu", "--d", "4", "--n", "100", "--activation", "sigmoid"]]
-argvs += [["norm", "--model", path] for path in sys.argv[1:]]
+         ["rad-check", "--family", "linear", "--candidates", "4", "--sign-draws", "8"],
+         ["bounds", "--kind", "rad-relu", "--d", "4", "--n", "100", "--activation", "sigmoid"],
+         ["train", "--target", sigmoid_two, "--n", "32", "--width", "4", "--activation", "sigmoid",
+          "--steps", "5"],
+         ["--help"]]
+argvs += [["norm", "--model", path] for path in (relu_two, swish_two, resnet)]
 for argv in argvs:
     assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+activations.catalog()
 print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+erf = compile_expr("erf(x)")
+assert math.isclose(erf(0.5), math.erf(0.5), rel_tol=1e-15) and erf([0.0, 1.0]).shape == (2,)
 """
 
 
-def test_commands_without_gamma_leave_optimize_and_integrate_unloaded(tmp_path, resnet_file):
-    # a fresh interpreter: this process has long since imported both modules
+def test_commands_without_gamma_leave_optimize_and_integrate_unloaded(tmp_path, resnet_file,
+                                                                    two_layer_file):
+    # a fresh interpreter: this process has long since imported scipy
     rng = make_rng(5)
-    two = tmp_path / "swish.json"
-    save_model(TwoLayerNet(rng.normal(size=3), rng.normal(size=(3, 2)), rng.normal(size=3),
-                           swish(1.5)), two)
+    models = []
+    for act in (relu(), swish(1.5)):
+        models.append(tmp_path / f"{act.name}.json")
+        save_model(TwoLayerNet(rng.normal(size=3), rng.normal(size=(3, 2)), rng.normal(size=3),
+                               act), models[-1])
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_GAMMA_RUN, str(two), resnet_file[0]],
+    proc = subprocess.run([sys.executable, "-c", NO_GAMMA_RUN, *map(str, models),
+                           two_layer_file[0], resnet_file[0]],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    # no scipy module for these commands; catalog() (gelu: scipy.special)
+    # still loads no quadrature or root-finder
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 IMPORT_ALONE = "import importlib, sys; importlib.import_module(sys.argv[1])"
