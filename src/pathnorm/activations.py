@@ -35,6 +35,10 @@ class Activation:
 
     f, f1, f2 accept floats or numpy arrays. At the kink f1/f2 return one
     arbitrary one-sided value; the true one-sided derivatives live in kink.
+    f_f1, when set, returns (f(x), f1(x)) bit for bit from one shared
+    evaluation; training reads it through `value_and_slope`. A copy that
+    replaces f or f1 (say by dataclasses.replace) must also replace f_f1
+    or clear it to None, or training keeps the old pair.
     """
 
     name: str
@@ -47,6 +51,13 @@ class Activation:
     closed_form_gamma: Optional[float] = None
     params: dict = field(default_factory=dict)
     spec: Optional[dict] = None  # the JSON object a custom activation was built from
+    f_f1: Optional[Callable] = None
+
+    def value_and_slope(self, x):
+        """(f(x), f1(x)), from one shared evaluation where f_f1 is set."""
+        if self.f_f1 is not None:
+            return self.f_f1(x)
+        return self.f(x), self.f1(x)
 
     @property
     def label(self) -> str:
@@ -98,10 +109,15 @@ def logistic(x):
     return 1.0 / (1.0 + np.exp(-np.maximum(x, -709.0)))
 
 
-def _logistic_slope(x):
-    """s (1 - s) for s = logistic(x): sigmoid's f' and softplus's f''."""
+def _logistic_and_slope(x):
+    """(s, s (1 - s)) for s = logistic(x): sigmoid's f and f', and
+    softplus's f' and f''."""
     s = logistic(x)
-    return s * (1.0 - s)
+    return s, s * (1.0 - s)
+
+
+def _logistic_slope(x):
+    return _logistic_and_slope(x)[1]
 
 
 def relu() -> Activation:
@@ -137,8 +153,8 @@ def leaky_relu(lam: float = 0.1) -> Activation:
 
 def sigmoid() -> Activation:
     def f2(x):
-        s = logistic(x)
-        return s * (1.0 - s) * (1.0 - 2.0 * s)
+        s, slope = _logistic_and_slope(x)
+        return slope * (1.0 - 2.0 * s)
 
     return Activation(
         name="sigmoid",
@@ -148,22 +164,29 @@ def sigmoid() -> Activation:
         asymptote_left=(0.0, 0.0),
         asymptote_right=(0.0, 1.0),
         closed_form_gamma=1.5,
+        f_f1=_logistic_and_slope,
     )
+
+
+def _tanh_and_slope(x):
+    t = np.tanh(x)
+    return t, 1.0 - t**2
 
 
 def tanh() -> Activation:
     def f2(x):
-        t = np.tanh(x)
-        return -2.0 * t * (1.0 - t**2)
+        t, slope = _tanh_and_slope(x)
+        return -2.0 * t * slope
 
     return Activation(
         name="tanh",
         f=np.tanh,
-        f1=lambda x: 1.0 - np.tanh(x) ** 2,
+        f1=lambda x: _tanh_and_slope(x)[1],
         f2=f2,
         asymptote_left=(0.0, -1.0),
         asymptote_right=(0.0, 1.0),
         closed_form_gamma=5.0,
+        f_f1=_tanh_and_slope,
     )
 
 
@@ -200,17 +223,25 @@ def gelu() -> Activation:
     def phi(x):
         return np.exp(-0.5 * x * x) / _SQRT_2PI
 
+    def slope(x, n):  # n = ndtr(x)
+        return n + np.asarray(x, float) * phi(x)
+
+    def f_f1(x):
+        n = special.ndtr(x)
+        return np.asarray(x, float) * n, slope(x, n)
+
     closed = float(
         4.0 * (special.ndtr(np.sqrt(2.0)) + (1.0 + np.sqrt(2.0)) / (np.e * np.sqrt(np.pi))) - 3.0
     )
     return Activation(
         name="gelu",
         f=lambda x: np.asarray(x, float) * special.ndtr(x),
-        f1=lambda x: special.ndtr(x) + np.asarray(x, float) * phi(x),
+        f1=lambda x: slope(x, special.ndtr(x)),
         f2=lambda x: phi(x) * (2.0 - np.asarray(x, float) ** 2),
         asymptote_left=(0.0, 0.0),
         asymptote_right=(1.0, 0.0),
         closed_form_gamma=closed,
+        f_f1=f_f1,
     )
 
 

@@ -39,10 +39,6 @@ class TooLarge(PathNormError):
     """The instance exceeds the size cap of an enumeration routine."""
 
 
-class IndexOutOfRange(PathNormError, IndexError):
-    """Block or neuron index outside the network."""
-
-
 class WidthMismatch(PathNormError, ValueError):
     """Source width is incompatible with the requested block layout."""
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import activations as act_mod
 from .activations import Activation
-from .errors import DimMismatch, IndexOutOfRange, TooLarge, WidthMismatch
+from .errors import DimMismatch, TooLarge, WidthMismatch
 from .twolayer import TwoLayerNet
 
 _BRUTE_CAP = 6
@@ -109,21 +109,16 @@ class ModificationBounds(NamedTuple):
     r_bound: float
 
 
-def _sweep(net: ResNet, row, blocks: int) -> float:
-    """Weighted norm of the paths into `row` that enter at the input map or
-    at one of blocks 1..`blocks`, summed right to left."""
+def norm_closed(net: ResNet) -> float:
+    """Right-to-left evaluation of the product-sum form of the norm."""
+    row = np.abs(net.alpha)
     total = 0.0
-    for w, u in zip(reversed(net.ws[:blocks]), reversed(net.us[:blocks])):
+    for w, u in zip(reversed(net.ws), reversed(net.us)):
         through = row @ np.abs(u)
         total += float(through.sum())
         row = row + net.c * through @ np.abs(w)
     total += float((row @ np.abs(net.v)).sum())
     return total
-
-
-def norm_closed(net: ResNet) -> float:
-    """Right-to-left evaluation of the product-sum form of the norm."""
-    return _sweep(net, np.abs(net.alpha), net.depth)
 
 
 def norm_recursive(net: ResNet) -> RecursiveNorm:
@@ -223,19 +218,6 @@ def modification_bounds(net: ResNet) -> ModificationBounds:
     alpha_pad = np.zeros(size)
     alpha_pad[: net.res_dim] = np.abs(net.alpha)
     return ModificationBounds(tuple(m_bounds), float(alpha_pad @ z))
-
-
-def hidden_norm(net: ResNet, layer: int, neuron: int) -> float:
-    """Modified weighted path norm of hidden neuron `neuron` in block `layer`.
-
-    Both indices are 1-based. The value is c times the norm of the paths
-    from the input map and earlier blocks into row `neuron` of W_layer.
-    """
-    if not 1 <= layer <= net.depth:
-        raise IndexOutOfRange(f"layer {layer} outside 1..{net.depth}")
-    if not 1 <= neuron <= net.width:
-        raise IndexOutOfRange(f"neuron {neuron} outside 1..{net.width}")
-    return net.c * _sweep(net, np.abs(net.ws[layer - 1][neuron - 1]), layer - 1)
 
 
 def embed_two_layer(src: TwoLayerNet, depth: int, width: int, c: float) -> ResNet:

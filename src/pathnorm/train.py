@@ -8,7 +8,8 @@ where T clamps predictions to [0, 1] (targets live there) and ||.||_P~ is
 the modified path norm. `gradient` returns the full analytic subgradient.
 `fit` runs seeded (mini-batch) descent with a proximal soft-threshold step
 on the a-coefficients, so a large lam drives units to exactly zero; the
-best iterate visited is returned.
+best iterate visited is returned. A training step evaluates the activation
+once, for its value and its slope (`Activation.value_and_slope`).
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from . import activations as act_mod
 from .activations import Activation
 from .bounds import apriori_bound_two_layer, lambda_n_two_layer
-from .errors import DimMismatch, Diverged
+from .errors import DimMismatch, Diverged, NumericalError
 from .rng import make_rng
 from .twolayer import (
     Dataset,
@@ -39,6 +40,16 @@ class TrainConfig:
     batch: Optional[int] = None  # None = full batch
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch is not None and self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+
 
 def truncated_loss(pred, y):
     """0.5 (clamp(pred, 0, 1) - y)^2, elementwise."""
@@ -56,18 +67,23 @@ def objective(net: TwoLayerNet, data: Dataset, lam: float) -> float:
 
 def _risk_gradient(net: TwoLayerNet, x: np.ndarray, y: np.ndarray):
     """Mean truncated loss on (x, y) and its analytic subgradient, from
-    one forward pass, as (risk, da, db, dc).
+    one forward pass that evaluates the activation once for its value and
+    its slope, as (risk, da, db, dc).
 
     Predictions outside [0, 1] contribute zero (the clamp is flat there).
     """
-    z = x @ net.b.T + net.c
-    sig = np.asarray(net.activation.f(z), float)
+    z = x @ net.b.T
+    z += net.c
+    sig, slope = net.activation.value_and_slope(z)
+    sig = np.asarray(sig, float)
     pred = sig @ net.a
-    risk = float(np.mean(truncated_loss(pred, y)))
+    diff = np.clip(pred, 0.0, 1.0) - y
+    risk = float(np.mean(0.5 * diff**2))
     active = (pred >= 0.0) & (pred <= 1.0)
-    err = (np.clip(pred, 0.0, 1.0) - y) * active / x.shape[0]
+    err = diff * active / x.shape[0]
     da = err @ sig
-    weighted = (err[:, None] * np.asarray(net.activation.f1(z), float)) * net.a
+    weighted = err[:, None] * np.asarray(slope, float)
+    weighted *= net.a
     db = weighted.T @ x
     dc = weighted.sum(axis=0)
     return risk, da, db, dc
@@ -198,6 +214,8 @@ def apriori_experiment(
     """
     gamma_sigma = act_mod.gamma(act)
     lam = lam_multiplier * lambda_n_two_layer(d, n, gamma_sigma)
+    if not np.isfinite(lam):
+        raise NumericalError(f"lam = {lam_multiplier:g} * lambda_n overflows to {lam}")
     norm_est = barron_norm_estimate(rep)
     bound = apriori_bound_two_layer(norm_est, m, d, n, delta, lam, act)
     rows = []

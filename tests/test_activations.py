@@ -434,3 +434,40 @@ def test_gamma_memo_dies_with_its_activation():
     del act
     gc.collect()
     assert ref() is None
+
+
+_TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+VALUE_SLOPE_POINTS = np.concatenate([
+    np.linspace(-40.0, 40.0, 100_001),
+    [0.0, -0.0, np.inf, -np.inf, np.nan, _TINY, -_TINY, 1e-310, -1e-310,
+     709.0, -709.0, 745.0, -745.0],
+])
+
+
+EXPR_TANH = {"name": "expr_tanh", "f": "tanh(x)", "f1": "1 - tanh(x)**2",
+             "f2": "-2*tanh(x)*(1 - tanh(x)**2)", "asymptote_left": [0, -1],
+             "asymptote_right": [0, 1]}
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize(
+    "act",
+    catalog() + [custom_activation(EXPR_TANH)],
+    ids=lambda a: a.label,
+)
+def test_value_and_slope_is_f_and_f1_bit_for_bit(act):
+    if act.spec is not None:
+        assert act.f_f1 is None  # a custom spec takes the fallback
+    # every grid point as an array, the edge points and every 100th grid
+    # point also as scalars; inf and nan make gelu and swish warn in f and
+    # f1 alike, so warnings are off and only the bits are compared
+    scalars = np.concatenate([VALUE_SLOPE_POINTS[::100], VALUE_SLOPE_POINTS[-13:]])
+    with np.errstate(all="ignore"):
+        for x in [VALUE_SLOPE_POINTS, *scalars.tolist(), *scalars]:
+            value, slope = act.value_and_slope(x)
+            assert _same_bits(value, act.f(x)), x
+            assert _same_bits(slope, act.f1(x)), x

@@ -527,6 +527,7 @@ def test_unconverged_quadrature_is_numeric_failure(capsys, tmp_path, argv):
     ["rad-check", "--family", "resnet", "--gamma", "1e200"],
     ["rad-check", "--budget", "1e308"],
     ["bounds", "--kind", "rad-two-layer", "--q", "1e308", "--d", "2", "--n", "10"],
+    ["apriori", "--seeds", "1", "--n", "16", "--steps", "2", "--lam-mult", "1e308"],
 ])
 def test_non_finite_report_is_numeric_failure(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,16 +1,15 @@
-"""Residual nets: three norm evaluations, hidden-neuron norms, embeddings."""
+"""Residual nets: three norm evaluations, modification bounds, embeddings."""
 
 import numpy as np
 import pytest
 
 from pathnorm.activations import relu, sigmoid, tanh
-from pathnorm.errors import DimMismatch, IndexOutOfRange, TooLarge, WidthMismatch
+from pathnorm.errors import DimMismatch, TooLarge, WidthMismatch
 from pathnorm.resnet import (
     ResNet,
     default_weight_constant,
     embed_two_layer,
     eval_resnet,
-    hidden_norm,
     modification_bounds,
     norm_bruteforce,
     norm_closed,
@@ -83,37 +82,6 @@ def test_modification_bounds_dominate(seed):
     assert rec.r <= bounds.r_bound * (1 + 1e-12)
 
 
-def test_hidden_norm_first_layer_formula():
-    net = random_net(2, depth=3, dim=4, width=3, c=2.5)
-    for i in range(1, net.width + 1):
-        expect = net.c * float(np.abs(net.ws[0][i - 1]) @ np.abs(net.v).sum(axis=1))
-        assert hidden_norm(net, 1, i) == pytest.approx(expect, rel=1e-12)
-
-
-def test_hidden_norm_matches_truncated_net():
-    net = random_net(5, depth=4, dim=4, width=3, c=1.7)
-    layer = 3
-    for i in range(1, net.width + 1):
-        sub = ResNet(
-            net.v,
-            net.ws[: layer - 1],
-            net.us[: layer - 1],
-            net.ws[layer - 1][i - 1],
-            net.activation,
-            net.c,
-        )
-        assert hidden_norm(net, layer, i) == pytest.approx(net.c * norm_closed(sub), rel=1e-12)
-
-
-def test_hidden_norm_scales_with_row():
-    net = random_net(7, depth=2, dim=3, width=2, c=2.0)
-    ws = [w.copy() for w in net.ws]
-    ws[1][0] *= 3.0
-    scaled = ResNet(net.v, tuple(ws), net.us, net.alpha, net.activation, net.c)
-    assert hidden_norm(scaled, 2, 1) == pytest.approx(3.0 * hidden_norm(net, 2, 1), rel=1e-12)
-    assert hidden_norm(scaled, 2, 2) == pytest.approx(hidden_norm(net, 2, 2), rel=1e-12)
-
-
 def test_zero_padding_leaves_norms_alone():
     net = random_net(11, depth=2, dim=3, width=2, c=2.0)
     extra = 2
@@ -121,18 +89,6 @@ def test_zero_padding_leaves_norms_alone():
     us = tuple(np.hstack([u, np.zeros((net.res_dim, extra))]) for u in net.us)
     padded = ResNet(net.v, ws, us, net.alpha, net.activation, net.c)
     assert norm_closed(padded) == pytest.approx(norm_closed(net), rel=1e-12)
-    for layer in (1, 2):
-        for i in range(1, net.width + 1):
-            assert hidden_norm(padded, layer, i) == pytest.approx(
-                hidden_norm(net, layer, i), rel=1e-12
-            )
-
-
-def test_hidden_norm_index_errors():
-    net = scalar_net()
-    for layer, neuron in [(0, 1), (2, 1), (1, 0), (1, 2)]:
-        with pytest.raises(IndexOutOfRange):
-            hidden_norm(net, layer, neuron)
 
 
 def test_bruteforce_cap():

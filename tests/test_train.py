@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathnorm import activations as A
-from pathnorm.activations import relu, sigmoid
+from pathnorm.activations import gelu, relu, sigmoid, tanh
 from pathnorm.bounds import lambda_n_two_layer
 from pathnorm.errors import DimMismatch, Diverged, EmptyDataset
 from pathnorm.rng import make_rng
 from pathnorm.train import (
     TrainConfig,
+    _risk_gradient,
     apriori_experiment,
     empirical_risk,
     fit,
@@ -139,6 +140,7 @@ def test_fit_is_deterministic():
 
 
 def test_full_batch_fit_evaluates_each_iterate_once():
+    # the objective reads f, a step reads f_f1 (value and slope): both count
     sig = sigmoid()
     calls = []
 
@@ -146,7 +148,11 @@ def test_full_batch_fit_evaluates_each_iterate_once():
         calls.append(x)
         return sig.f(x)
 
-    act = dataclasses.replace(sig, f=counting_f)
+    def counting_f_f1(x):
+        calls.append(x)
+        return sig.f_f1(x)
+
+    act = dataclasses.replace(sig, f=counting_f, f_f1=counting_f_f1)
     data = atom_dataset(6)
     init = init_two_layer(2, 8, act, seed=6)
     for steps in (1, 10):
@@ -154,6 +160,64 @@ def test_full_batch_fit_evaluates_each_iterate_once():
         _, trace = fit(data, TrainConfig(steps=steps, step_size=0.1, lam=0.01), init)
         assert trace.size == steps + 1
         assert len(calls) == steps + 1
+
+
+def _risk_gradient_oracle(net, x, y):
+    # reference: f and f1 evaluated separately, every temporary a fresh array
+    z = x @ net.b.T + net.c
+    sig = np.asarray(net.activation.f(z), float)
+    pred = sig @ net.a
+    risk = float(np.mean(truncated_loss(pred, y)))
+    active = (pred >= 0.0) & (pred <= 1.0)
+    err = (np.clip(pred, 0.0, 1.0) - y) * active / x.shape[0]
+    da = err @ sig
+    weighted = (err[:, None] * np.asarray(net.activation.f1(z), float)) * net.a
+    db = weighted.T @ x
+    dc = weighted.sum(axis=0)
+    return risk, da, db, dc
+
+
+@pytest.mark.parametrize("make", [sigmoid, tanh, gelu, relu])
+def test_risk_gradient_matches_oracle_bit_for_bit(make):
+    act = make()
+    data = atom_dataset(8, n=96)
+    x_all = data.inputs
+    rng = make_rng(8)
+    for seed in range(3):
+        # output weights fitted so the net is about 0.5 + x_0: about half
+        # the predictions fall outside [0, 1], where the clamp zeroes
+        # their share of the gradient
+        net = init_two_layer(2, 64, act, seed=seed)
+        sig = act.f(x_all @ net.b.T + net.c)
+        a = np.linalg.lstsq(sig, 0.5 + x_all[:, 0], rcond=1e-6)[0]
+        net = TwoLayerNet(a, net.b, net.c, act)
+        pred = eval_two_layer(net, x_all)
+        assert (pred < 0).any() and (pred > 1).any() and ((pred >= 0) & (pred <= 1)).any()
+        order = rng.permutation(data.n)
+        for batch in (None, 1, 7, 30, 64):
+            take = order if batch is None else order[:batch]
+            x, y = data.inputs[take], data.targets[take]
+            got = _risk_gradient(net, x, y)
+            want = _risk_gradient_oracle(net, x, y)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"batch": 0}, {"batch": -5}, {"steps": -1}, {"step_size": 0.0}, {"step_size": -0.1},
+     {"step_size": float("inf")}, {"step_size": float("nan")}, {"lam": -0.01},
+     {"lam": float("inf")}, {"lam": float("nan")}],
+)
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
+def test_apriori_experiment_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps"):
+        apriori_experiment(ATOM, sigmoid(), d=2, n=16, m=2, seeds=[0], steps=-1, n_eval=16)
 
 
 def test_fit_steps_with_the_tested_gradient():
