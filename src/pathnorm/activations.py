@@ -39,6 +39,11 @@ class Activation:
     evaluation; training reads it through `value_and_slope`. A copy that
     replaces f or f1 (say by dataclasses.replace) must also replace f_f1
     or clear it to None, or training keeps the old pair.
+
+    gamma_parts, inf_g and the ReLU approximant for the last eps that
+    relu1d.approximate_activation built are kept on the object, so they
+    live exactly as long as it does. A copy made by dataclasses.replace is
+    a new object and starts with none of them.
     """
 
     name: str
@@ -84,6 +89,12 @@ class Activation:
     def _inf_g(self) -> tuple:
         # inf_g's memo: gamma and the approximant's anchor both read it
         return _search_inf_g(self)
+
+    @cached_property
+    def _approximant(self) -> dict:
+        # approximate_activation's memo, filled and read there: at most one
+        # entry, the last eps built, since a net at small eps can be wide
+        return {}
 
 
 class GammaParts(NamedTuple):

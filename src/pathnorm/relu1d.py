@@ -201,9 +201,21 @@ def _certified_sup(act, net, breaks):
 
 def approximate_activation(act: Activation, eps: float):
     """Certified ReLU approximant; returns (TwoLayerNet, ApproxCertificate),
-    the net a relu net on d = 1."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    the net a relu net on d = 1. eps must be finite and > 0.
+
+    The approximant depends only on (act, eps), so the last one built is
+    kept on the activation object: a second call with the same object and
+    eps returns the same two objects, and rewriting many nets with one
+    activation builds it once. The net's a, b and c arrays are read-only.
+    """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and > 0")
+    memo = act._approximant
+    # an equal eps of another type (1 and 1.0) builds anew, so a hit returns
+    # what a build would, down to the type of cert.epsilon_requested
+    key = (type(eps), eps)
+    if key in memo:
+        return memo[key]
     gamma_ref = act_mod.gamma(act)
 
     x_eps, d_left, d_right = _pick_anchor(act, eps)
@@ -227,6 +239,10 @@ def approximate_activation(act: Activation, eps: float):
                 partition_size=n_panels,
                 grid_points=points,
             )
+            for arr in (net.a, net.b, net.c):
+                arr.setflags(write=False)
+            memo.clear()
+            memo[key] = net, cert
             return net, cert
         n_panels *= 2
     raise NoConvergence(f"partition cap reached for {act.label} at eps={eps:g}")

@@ -430,6 +430,7 @@ def test_one_inf_g_search_per_activation(monkeypatch):
 def test_gamma_memo_dies_with_its_activation():
     act = swish(1.25)
     A.gamma(act)
+    approximate_activation(act, 1e-1)
     ref = weakref.ref(act)
     del act
     gc.collect()

@@ -3,9 +3,9 @@
 perfbench/run.py counts a job that raises as failed and then exits 1, so
 a change that breaks a workload, or the traced run's span counts, fails
 the benchmark. This runs a cycle of sweep untraced and traced, the
-sweep jobs over every stratum, a traced cycle of rewrite and two train
-jobs, in about two seconds. run.py itself is not imported: it
-re-executes the interpreter when imported.
+sweep jobs over every stratum, a traced cycle of rewrite and an untraced
+one after it, and two train jobs, in about two seconds. run.py itself is
+not imported: it re-executes the interpreter when imported.
 """
 
 import pickle
@@ -68,10 +68,17 @@ def test_sweep_every_stratum(bench, tmp_path):
 
 
 def test_rewrite_cycle_traced(bench, tmp_path):
+    # the first cycle builds each of the three approximants, the second
+    # finds every one kept on its activation; a rewrite job's output depends
+    # only on its pool net, so it pickles as the job one cycle earlier did
     inproc, _ = bench
     wl = inproc.Rewrite(11, str(tmp_path))
-    _, stats = traced_cycle(bench, wl)
+    first, stats = traced_cycle(bench, wl)
     assert stats["twolayer.rewrite_to_relu"]["calls"] == wl.pattern.count("rewrite")
+    second = run_jobs(wl, range(wl.cycle, 2 * wl.cycle))
+    for i in range(wl.cycle):
+        if wl.kind(i) == "rewrite":
+            assert pickle.dumps(second[i]) == pickle.dumps(first[i]), i
 
 
 def test_train_fit_and_apriori_jobs(bench, tmp_path):

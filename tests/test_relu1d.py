@@ -11,7 +11,7 @@ from pathnorm import activations as A
 from pathnorm.activations import Activation, catalog, custom_activation, elu, relu, sigmoid, tanh
 from pathnorm.errors import NoConvergence, NonIntegrable, NotRelu1D
 from pathnorm.relu1d import approximate_activation, eval_relu1d
-from pathnorm.twolayer import TwoLayerNet, path_norm
+from pathnorm.twolayer import TwoLayerNet, path_norm, rewrite_to_relu
 from pathnorm import relu1d
 
 
@@ -292,3 +292,54 @@ def test_no_window_raises_nonintegrable(monkeypatch):
     monkeypatch.setattr(A, "_MAX_WINDOW", 8.0)
     with pytest.raises(NonIntegrable, match=r"tanh stays above 3\.125e-08"):
         approximate_activation(act, 1e-6)
+
+
+@pytest.mark.parametrize("eps", [0, -1.0, np.nan, np.inf])
+def test_eps_must_be_finite_and_positive(eps):
+    act = sigmoid()
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        approximate_activation(act, eps)
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        rewrite_to_relu(TwoLayerNet([1.0], [[1.0]], [0.0], act), eps)
+
+
+# ---------------------------------------------------------------------------
+# the approximant kept on its activation
+
+
+@pytest.mark.parametrize("name", ["sigmoid", "tanh", "gelu", "elu:alpha=2"])
+def test_second_call_returns_the_kept_approximant(name):
+    act = A.by_name(name)
+    net, cert = approximate_activation(act, 1e-2)
+    again_net, again_cert = approximate_activation(act, 1e-2)
+    assert again_net is net and again_cert is cert
+    cold_net, cold_cert = approximate_activation(A.by_name(name), 1e-2)
+    for kept, cold in zip((net.a, net.b, net.c), (cold_net.a, cold_net.b, cold_net.c)):
+        assert kept.shape == cold.shape and kept.tobytes() == cold.tobytes()
+    assert vars(cert) == vars(cold_cert)
+
+
+def test_kept_approximant_is_read_only():
+    net, _ = approximate_activation(sigmoid(), 1e-2)
+    for arr in (net.a, net.b, net.c):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        net.a *= 2.0
+
+
+def test_another_eps_replaces_the_kept_approximant():
+    act = sigmoid()
+    coarse, _ = approximate_activation(act, 1e-1)
+    fine, cert = approximate_activation(act, 1e-2)
+    assert fine is not coarse and cert.epsilon_requested == 1e-2
+    assert approximate_activation(act, 1e-2)[0] is fine
+    # one entry only: going back to 1e-1 builds again, the same net
+    rebuilt, _ = approximate_activation(act, 1e-1)
+    assert rebuilt is not coarse and rebuilt.a.tobytes() == coarse.a.tobytes()
+    # an equal eps of another type is another key, so the certificate
+    # records the eps as given, as a build would
+    _, int_cert = approximate_activation(act, 1)
+    _, float_cert = approximate_activation(act, 1.0)
+    assert type(int_cert.epsilon_requested) is int
+    assert type(float_cert.epsilon_requested) is float
