@@ -122,25 +122,43 @@ def logistic(x):
 
 def _logistic_and_slope(x):
     """(s, s (1 - s)) for s = logistic(x): sigmoid's f and f', and
-    softplus's f' and f''."""
-    s = logistic(x)
-    return s, s * (1.0 - s)
+    softplus's f' and f''. An array of one or more dimensions runs
+    logistic's ufuncs in place in one buffer, and the slope in a second:
+    the same bits with no other temporary. A scalar or 0-d input, one
+    quadrature point, takes logistic itself."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        s = logistic(x)
+        return s, s * (1.0 - s)
+    s = np.maximum(x, -709.0)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    slope = np.subtract(1.0, s)
+    slope *= s
+    return s, slope
 
 
 def _logistic_slope(x):
     return _logistic_and_slope(x)[1]
 
 
+def _relu_and_slope(x):
+    x = np.asarray(x, float)
+    return np.maximum(x, 0.0), (x > 0).astype(float)
+
+
 def relu() -> Activation:
     return Activation(
         name="relu",
         f=lambda x: np.maximum(np.asarray(x, float), 0.0),
-        f1=lambda x: np.where(np.asarray(x, float) > 0, 1.0, 0.0),
+        f1=lambda x: (np.asarray(x, float) > 0).astype(float),
         f2=lambda x: np.zeros_like(np.asarray(x, float)),
         asymptote_left=(0.0, 0.0),
         asymptote_right=(1.0, 0.0),
         kink=(0.0, 0.0, 1.0),
         closed_form_gamma=1.0,
+        f_f1=_relu_and_slope,
     )
 
 
@@ -181,7 +199,10 @@ def sigmoid() -> Activation:
 
 def _tanh_and_slope(x):
     t = np.tanh(x)
-    return t, 1.0 - t**2
+    slope = t**2
+    if isinstance(slope, np.ndarray):  # a scalar or 0-d x gives a scalar
+        return t, np.subtract(1.0, slope, out=slope)
+    return t, 1.0 - slope
 
 
 def tanh() -> Activation:
@@ -239,7 +260,17 @@ def gelu() -> Activation:
 
     def f_f1(x):
         n = special.ndtr(x)
-        return np.asarray(x, float) * n, slope(x, n)
+        # a float64 array only: phi's division by the float64 _SQRT_2PI
+        # would upcast a float32 buffer, which in place it cannot
+        if not (isinstance(x, np.ndarray) and x.ndim and x.dtype == float):
+            return np.asarray(x, float) * n, slope(x, n)
+        p = -0.5 * x  # slope's n + x phi(x), built in one buffer
+        p *= x
+        np.exp(p, out=p)
+        p /= _SQRT_2PI
+        p *= x
+        p += n
+        return x * n, p
 
     closed = float(
         4.0 * (special.ndtr(np.sqrt(2.0)) + (1.0 + np.sqrt(2.0)) / (np.e * np.sqrt(np.pi))) - 3.0
@@ -489,9 +520,11 @@ def curvature_breaks(act: Activation, ends) -> list:
         nonzero = np.flatnonzero((f2 > 0.0) | (f2 < 0.0))  # a nan sample counts as a zero
         positive = f2[nonzero] > 0.0
         flips = np.flatnonzero(positive[:-1] != positive[1:])
+        # brentq gets f2 itself: its wrapper refers to itself, so a closure
+        # over act would leave act in a reference cycle
         for i, j in zip(nonzero[flips], nonzero[flips + 1]):
             breaks.add(float(xs[i + 1]) if j > i + 1 else
-                       optimize.brentq(lambda t: float(act.f2(t)), xs[i], xs[j], xtol=1e-12))
+                       optimize.brentq(act.f2, xs[i], xs[j], xtol=1e-12))
     return sorted(breaks)
 
 

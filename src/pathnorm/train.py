@@ -57,8 +57,13 @@ def truncated_loss(pred, y):
     return 0.5 * (t - np.asarray(y, float)) ** 2
 
 
+def _mean(v) -> float:
+    # np.mean's value without its wrapper: the same pairwise sum over the count
+    return float(np.add.reduce(v)) / v.size
+
+
 def empirical_risk(net: TwoLayerNet, data: Dataset) -> float:
-    return float(np.mean(truncated_loss(eval_two_layer(net, data.inputs), data.targets)))
+    return _mean(truncated_loss(eval_two_layer(net, data.inputs), data.targets))
 
 
 def objective(net: TwoLayerNet, data: Dataset, lam: float) -> float:
@@ -78,7 +83,7 @@ def _risk_gradient(net: TwoLayerNet, x: np.ndarray, y: np.ndarray):
     sig = np.asarray(sig, float)
     pred = sig @ net.a
     diff = np.clip(pred, 0.0, 1.0) - y
-    risk = float(np.mean(0.5 * diff**2))
+    risk = _mean(0.5 * diff**2)
     active = (pred >= 0.0) & (pred <= 1.0)
     err = diff * active / x.shape[0]
     da = err @ sig
@@ -149,7 +154,8 @@ def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
             risk, da, db, dc = _risk_gradient(net, data.inputs, data.targets)
         else:
             risk = empirical_risk(net, data)
-        j = risk + cfg.lam * modified_path_norm(net)
+        weights = unit_weights(net.b, net.c)  # modified_path_norm's, and the threshold's
+        j = risk + cfg.lam * float(np.add.reduce(np.abs(net.a) * weights))
         if k > 0 and not np.isfinite(j):
             raise Diverged(f"objective became {j} during training")
         if k == 0 or j < best_j:
@@ -167,7 +173,7 @@ def fit(data: Dataset, cfg: TrainConfig, init: TwoLayerNet):
         a = net.a - s * da
         if cfg.lam != 0.0:
             db, dc = _add_bc_penalty(net, cfg.lam, db, dc)
-            a = _soft_threshold(a, s * cfg.lam * unit_weights(net.b, net.c))
+            a = _soft_threshold(a, s * cfg.lam * weights)
         net = TwoLayerNet(a, net.b - s * db, net.c - s * dc, net.activation)
     return best, np.array(trace)
 

@@ -75,7 +75,8 @@ def eval_two_layer(net: TwoLayerNet, x):
     starts = range(0, max(n - rows, 0) + 1, rows)
     out = np.empty(n)
     for lo, hi in zip(starts, [*starts[1:], n]):
-        z = batch[lo:hi] @ net.b.T + net.c
+        z = batch[lo:hi] @ net.b.T
+        z += net.c
         out[lo:hi] = np.asarray(net.activation.f(z), float) @ net.a
     return float(out[0]) if single else out
 

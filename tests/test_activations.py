@@ -427,6 +427,44 @@ def test_one_inf_g_search_per_activation(monkeypatch):
     assert len(grids) == 1
 
 
+@pytest.mark.parametrize("make", [sigmoid, tanh, gelu, relu])
+def test_value_and_slope_of_an_array_is_pointwise(make):
+    # the four activations training fits share one pass, and an array takes
+    # in-place ufuncs where a scalar takes plain expressions: both give the
+    # same bits at every point (the edge points too), for a 1-d and a 2-d array
+    act = make()
+    assert act.f_f1 is not None
+    points = np.concatenate([VALUE_SLOPE_POINTS[:-13:97], VALUE_SLOPE_POINTS[-13:]])
+    with np.errstate(all="ignore"):
+        for x in (points, points.reshape(-1, 4)[:, ::-1]):
+            value, slope = act.value_and_slope(x)
+            for i in np.ndindex(x.shape):
+                pointwise = act.value_and_slope(float(x[i]))
+                assert value[i].tobytes() == pointwise[0].tobytes(), x[i]
+                assert slope[i].tobytes() == pointwise[1].tobytes(), x[i]
+
+
+@pytest.mark.parametrize(
+    "make", [gelu, lambda: swish(1.7), lambda: swish(0.3)],
+    ids=["gelu", "swish:beta=1.7", "swish:beta=0.3"],
+)
+def test_activation_freed_without_the_cyclic_collector(make):
+    # gelu and these swishes have f'' sign changes that brentq refines;
+    # nothing it keeps may hold the activation in a reference cycle
+    act = make()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        A.gamma(act)
+        approximate_activation(act, 1e-2)
+        ref = weakref.ref(act)
+        del act
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_gamma_memo_dies_with_its_activation():
     act = swish(1.25)
     A.gamma(act)
@@ -463,12 +501,15 @@ def _same_bits(got, want):
 def test_value_and_slope_is_f_and_f1_bit_for_bit(act):
     if act.spec is not None:
         assert act.f_f1 is None  # a custom spec takes the fallback
-    # every grid point as an array, the edge points and every 100th grid
-    # point also as scalars; inf and nan make gelu and swish warn in f and
-    # f1 alike, so warnings are off and only the bits are compared
+    # every grid point as a 1-d and a 2-d array, the edge points and every
+    # 100th grid point also as floats, numpy scalars and 0-d arrays; inf and
+    # nan make gelu and swish warn in f and f1 alike, so warnings are off
+    # and only the bits are compared
     scalars = np.concatenate([VALUE_SLOPE_POINTS[::100], VALUE_SLOPE_POINTS[-13:]])
+    arrays = [VALUE_SLOPE_POINTS, VALUE_SLOPE_POINTS.reshape(2, -1)]
+    zero_d = [np.array(v) for v in scalars.tolist()]
     with np.errstate(all="ignore"):
-        for x in [VALUE_SLOPE_POINTS, *scalars.tolist(), *scalars]:
+        for x in [*arrays, *scalars.tolist(), *scalars, *zero_d]:
             value, slope = act.value_and_slope(x)
             assert _same_bits(value, act.f(x)), x
             assert _same_bits(slope, act.f1(x)), x

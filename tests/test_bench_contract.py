@@ -4,8 +4,9 @@ perfbench/run.py counts a job that raises as failed and then exits 1, so
 a change that breaks a workload, or the traced run's span counts, fails
 the benchmark. This runs a cycle of sweep untraced and traced, the
 sweep jobs over every stratum, a traced cycle of rewrite and an untraced
-one after it, and two train jobs, in about two seconds. run.py itself is
-not imported: it re-executes the interpreter when imported.
+one after it, and a train fit of every configuration plus an apriori job,
+in about three seconds. run.py itself is not imported: it re-executes the
+interpreter when imported.
 """
 
 import pickle
@@ -82,7 +83,10 @@ def test_rewrite_cycle_traced(bench, tmp_path):
 
 
 def test_train_fit_and_apriori_jobs(bench, tmp_path):
+    # one cycle's fits are every (activation, batch, lam) configuration once
     inproc, _ = bench
     wl = inproc.Train(11, str(tmp_path))
-    assert [wl.kind(i) for i in (0, 4)] == ["fit", "apriori"]
-    run_jobs(wl, (0, 4))
+    fits = [i for i in range(wl.cycle) if wl.kind(i) == "fit"]
+    assert wl.kind(4) == "apriori"
+    assert sorted(wl.nth(i) for i in fits) == list(range(len(inproc.FIT_CONFIGS)))
+    run_jobs(wl, [*fits, 4])

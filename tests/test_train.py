@@ -1,6 +1,7 @@
 """Regularized training: losses, gradients, descent, regularization path."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -140,26 +141,33 @@ def test_fit_is_deterministic():
 
 
 def test_full_batch_fit_evaluates_each_iterate_once():
-    # the objective reads f, a step reads f_f1 (value and slope): both count
+    # the objective reads f on the full data, a step reads f_f1 (value and
+    # slope) on its batch; with full batches one f_f1 pass gives both, so
+    # f runs only on the last iterate, and batch mode adds the steps' f_f1
     sig = sigmoid()
     calls = []
 
-    def counting_f(x):
-        calls.append(x)
-        return sig.f(x)
+    def counting(name):
+        def call(x):
+            calls.append((name, x.shape))
+            return getattr(sig, name)(x)
+        return call
 
-    def counting_f_f1(x):
-        calls.append(x)
-        return sig.f_f1(x)
-
-    act = dataclasses.replace(sig, f=counting_f, f_f1=counting_f_f1)
+    act = dataclasses.replace(
+        sig, **{name: counting(name) for name in ("f", "f1", "f2", "f_f1")}
+    )
     data = atom_dataset(6)
     init = init_two_layer(2, 8, act, seed=6)
-    for steps in (1, 10):
+    for batch, steps in itertools.product((None, 16), (1, 10)):
         calls.clear()
-        _, trace = fit(data, TrainConfig(steps=steps, step_size=0.1, lam=0.01), init)
+        cfg = TrainConfig(steps=steps, step_size=0.1, lam=0.01, batch=batch)
+        _, trace = fit(data, cfg, init)
         assert trace.size == steps + 1
-        assert len(calls) == steps + 1
+        full, step = ("f", (data.n, 8)), ("f_f1", (batch or data.n, 8))
+        if batch is None:
+            assert calls == [step] * steps + [full]
+        else:
+            assert calls == [full, step] * steps + [full]
 
 
 def _risk_gradient_oracle(net, x, y):
@@ -175,6 +183,69 @@ def _risk_gradient_oracle(net, x, y):
     db = weighted.T @ x
     dc = weighted.sum(axis=0)
     return risk, da, db, dc
+
+
+def _fit_oracle(data, cfg, init):
+    # reference: the descent loop as first written, with the risk from
+    # np.mean, every gradient from _risk_gradient_oracle, the objective's
+    # path norm and the threshold's unit weights computed apart
+    full = cfg.batch is None or cfg.batch >= data.n
+    rng = make_rng(cfg.seed)
+    s = cfg.step_size
+    order = np.arange(data.n)
+    cursor = 0
+    net = best = init
+    trace = []
+    for k in range(cfg.steps + 1):
+        stepping = k < cfg.steps
+        if full and stepping:
+            risk, da, db, dc = _risk_gradient_oracle(net, data.inputs, data.targets)
+        else:
+            pred = np.asarray(net.activation.f(data.inputs @ net.b.T + net.c), float) @ net.a
+            risk = float(np.mean(truncated_loss(pred, data.targets)))
+        j = risk + cfg.lam * modified_path_norm(net)
+        if k == 0 or j < best_j:
+            best, best_j = net, j
+        trace.append(j)
+        if not stepping:
+            break
+        if not full:
+            if cursor + cfg.batch > data.n:
+                rng.shuffle(order)
+                cursor = 0
+            take = order[cursor : cursor + cfg.batch]
+            cursor += cfg.batch
+            _, da, db, dc = _risk_gradient_oracle(net, data.inputs[take], data.targets[take])
+        a = net.a - s * da
+        if cfg.lam != 0.0:
+            a_abs = np.abs(net.a)
+            db = db + cfg.lam * (a_abs[:, None] * np.sign(net.b))
+            dc = dc + cfg.lam * a_abs * np.sign(net.c)
+            t = s * cfg.lam * (np.abs(net.b).sum(axis=1) + np.abs(net.c) + 1.0)
+            a = np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
+        net = TwoLayerNet(a, net.b - s * db, net.c - s * dc, net.activation)
+    return best, np.array(trace)
+
+
+@pytest.mark.parametrize("make", [sigmoid, tanh, gelu, relu])
+def test_fit_matches_oracle_bit_for_bit(make):
+    # lam 0.01 lambda_n leaves 6-12 of the 16 units alive after 30 steps,
+    # lambda_n zeroes every unit in the first step; batch 64 of 128
+    # reshuffles every other step
+    act = make()
+    data = atom_dataset(9)
+    init = init_two_layer(2, 16, act, seed=9)
+    lam_n = lambda_n_two_layer(2, data.n, A.gamma(act))
+    cfgs = [TrainConfig(steps=0, step_size=0.1, lam=lam_n)] + [
+        TrainConfig(steps=30, step_size=0.1, lam=lam, batch=batch, seed=9)
+        for batch in (None, 7, 64)
+        for lam in (0.0, 0.01 * lam_n, lam_n)
+    ]
+    for cfg in cfgs:
+        got, want = fit(data, cfg, init), _fit_oracle(data, cfg, init)
+        assert got[1].tobytes() == want[1].tobytes(), cfg
+        for name in "abc":
+            assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes(), cfg
 
 
 @pytest.mark.parametrize("make", [sigmoid, tanh, gelu, relu])
